@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,10 +41,6 @@ class SimilarityAccumulator:
     def __len__(self) -> int:
         return len(self.w)
 
-    def items(self) -> Iterator[tuple[tuple[int, int], float]]:
-        for a, b, c in zip(self.u.tolist(), self.v.tolist(), self.w.tolist()):
-            yield (a, b), c
-
     def get(self, a: int, b: int, default: float = 0.0) -> float:
         if a == b:
             return default
@@ -59,8 +54,11 @@ class SimilarityAccumulator:
         return default
 
     def to_matrix(self) -> sp.csr_matrix:
-        """Strictly upper-triangular CSR view of the pair weights."""
-        return sp.csr_matrix((self.w, (self.u, self.v)), shape=(self.n, self.n))
+        """Strictly upper-triangular CSR view of the pair weights, built
+        straight from the canonical arrays (sorted indices, no duplicates)."""
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.u, minlength=self.n), out=indptr[1:])
+        return sp.csr_matrix((self.w, self.v, indptr), shape=(self.n, self.n))
 
     def to_dense(self) -> np.ndarray:
         """Symmetric dense matrix (tests and small graphs only)."""
@@ -70,11 +68,15 @@ class SimilarityAccumulator:
         return m
 
     def add(self, other: "SimilarityAccumulator") -> "SimilarityAccumulator":
-        """Entrywise sum; one addition per shared pair, in fixed key order."""
+        """Entrywise sum; one addition per shared pair, by a sorted merge of
+        the two canonical row sets."""
         if self.n != other.n:
             raise ValueError("accumulator sizes differ")
-        return SimilarityAccumulator.from_matrix(
-            self.to_matrix() + other.to_matrix(), self.n)
+        total = self.to_matrix() + other.to_matrix()
+        total.eliminate_zeros()
+        u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(total.indptr))
+        return SimilarityAccumulator(self.n, u, total.indices.astype(np.int64),
+                                     total.data)
 
     def scaled(self, factors: np.ndarray) -> "SimilarityAccumulator":
         """New accumulator with per-pair weights multiplied by ``factors``."""

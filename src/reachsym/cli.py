@@ -75,14 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip common neighbors above this closure degree")
     s.add_argument("--weighted", action="store_true",
                    help="input has a third weight column")
-    s.add_argument("--threads", type=int, default=1)
-    s.add_argument("--precision", type=int, default=6)
+    s.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
+    s.add_argument("--precision", type=int, default=6,
+                   choices=range(18), metavar="0..17")
     s.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
 
     h = sub.add_parser("hierarchy", help="emit auto-computed hierarchy scores")
     add_io(h)
     h.add_argument("--weighted", action="store_true")
-    h.add_argument("--precision", type=int, default=6)
+    h.add_argument("--precision", type=int, default=6,
+                   choices=range(18), metavar="0..17")
 
     t = sub.add_parser("stats", help="print node/edge counts and degree histograms")
     add_io(t, output=False)
@@ -93,9 +96,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _parse_file(path: str, parse, *args, **kwargs):
+    """``parse(stream, *args, **kwargs)`` over a UTF-8 text file; a line that
+    is not UTF-8 is a parse error."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return parse(f, *args, **kwargs)
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            for line_no, raw in enumerate(f, 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ParseError(f"invalid UTF-8 in {path}", line_no) from None
+        raise
+
+
 def _load_graph(args) -> DirectedGraph:
-    with open(args.input, "r", encoding="utf-8") as f:
-        return load_edge_list(f, weighted=getattr(args, "weighted", False))
+    return _parse_file(args.input, load_edge_list,
+                       weighted=getattr(args, "weighted", False))
 
 
 def _resolve_hierarchy(args, g):
@@ -105,9 +124,7 @@ def _resolve_hierarchy(args, g):
     if choice == "auto":
         return "auto", auto_hierarchy(g)
     if choice.startswith("file:"):
-        path = choice[len("file:"):]
-        with open(path, "r", encoding="utf-8") as f:
-            return "file", load_hierarchy(f, g)
+        return "file", _parse_file(choice[len("file:"):], load_hierarchy, g)
     raise ValidationError(f"invalid --hierarchy value {choice!r}")
 
 
@@ -131,6 +148,8 @@ def run_symmetrize(args) -> int:
     t0 = time.perf_counter()
     if args.l is not None and args.method != "reach":
         raise ValidationError("--l only applies to --method reach")
+    if args.weighted and args.method != "degree-discounted":
+        raise ValidationError("--weighted only applies to --method degree-discounted")
     if args.hierarchy == "none" and (args.gamma is not None or args.delta is not None):
         raise ValidationError("--gamma/--delta require --hierarchy auto or file:PATH")
     l = _parse_depth(args.l) if args.l is not None else 2

@@ -1,17 +1,16 @@
-"""Depth-bounded reachability (local transitive closure) via BFS.
+"""Depth-bounded reachability (local transitive closure).
 
 For depth bound l, a node's out-reach set contains every node reachable by a
 directed path of length in [1, l]; in-reach mirrors it on reversed edges.
 A node appears in its own reach set only through a genuine cycle of length
-<= l (non-null paths only).  l = inf runs BFS to exhaustion and yields the
-exact transitive closure.
+<= l (non-null paths only).  l = inf yields the exact transitive closure.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,32 +31,36 @@ def _check_depth(l) -> None:
 
 @dataclass
 class LocalClosure:
-    """Per-node bounded reach sets and closure degrees for one depth l."""
+    """Bounded reach sets for one depth l, as two boolean CSR matrices."""
 
     n: int
     l: float                      # integer depth or math.inf
-    out_reach: list[np.ndarray]   # sorted node indices reachable within l
-    in_reach: list[np.ndarray]    # sorted node indices that reach it within l
+    out_mat: sp.csr_matrix        # (i, k) set iff k is reachable from i within l
+    in_mat: sp.csr_matrix         # transpose of out_mat, indices sorted
     d_out_plus: np.ndarray        # |out_reach| per node
     d_in_plus: np.ndarray         # |in_reach| per node
 
     def out_csr(self) -> sp.csr_matrix:
-        """Boolean closure adjacency as CSR: (i, k) set iff k in out_reach[i]."""
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.d_out_plus, out=indptr[1:])
-        indices = (np.concatenate(self.out_reach) if self.n else
-                   np.empty(0, dtype=np.int64))
-        data = np.ones(len(indices), dtype=np.float64)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        return self.out_mat
 
     def in_csr(self) -> sp.csr_matrix:
-        """CSR with (i, k) set iff k in in_reach[i] (transpose pattern)."""
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.d_in_plus, out=indptr[1:])
-        indices = (np.concatenate(self.in_reach) if self.n else
-                   np.empty(0, dtype=np.int64))
-        data = np.ones(len(indices), dtype=np.float64)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        return self.in_mat
+
+    @cached_property
+    def out_reach(self) -> list[np.ndarray]:
+        """Read-only sorted row views: the nodes each node reaches within l."""
+        return _rows(self.out_mat)
+
+    @cached_property
+    def in_reach(self) -> list[np.ndarray]:
+        """Read-only sorted row views: the nodes that reach each node within l."""
+        return _rows(self.in_mat)
+
+
+def _rows(m: sp.csr_matrix) -> list[np.ndarray]:
+    indices = m.indices.view()
+    indices.flags.writeable = False
+    return np.split(indices, m.indptr[1:-1]) if m.shape[0] else []
 
 
 def bfs_bounded(g: DirectedGraph, source: int, l, direction: str = "out"
@@ -92,33 +95,12 @@ def bfs_bounded(g: DirectedGraph, source: int, l, direction: str = "out"
     return np.array(sorted(visited), dtype=np.int64)
 
 
-def _reach_from(indptr, indices, source: int, l) -> np.ndarray:
-    # Vectorized level-synchronous BFS over a CSR adjacency.
-    levels = []
-    frontier = indices[indptr[source]:indptr[source + 1]]
-    seen = frontier
-    depth = 1
-    levels.append(frontier)
-    while depth < l and len(frontier):
-        parts = [indices[indptr[u]:indptr[u + 1]] for u in frontier.tolist()]
-        cand = np.unique(np.concatenate(parts)) if parts else seen[:0]
-        fresh = cand[np.isin(cand, seen, assume_unique=True, invert=True)]
-        if not len(fresh):
-            break
-        levels.append(fresh)
-        seen = np.union1d(seen, fresh)
-        frontier = fresh
-        depth += 1
-    if len(levels) == 1:
-        return levels[0].copy()
-    return np.sort(np.concatenate(levels))
-
-
 def local_closure(g: DirectedGraph, l, threads: int = 1) -> LocalClosure:
-    """Run a depth-l BFS from every node and assemble the local closure.
+    """Local closure by boolean sparse matrix powers.
 
-    Deterministic for any ``threads`` value: per-source results are assembled
-    in source-index order.
+    Bounded l runs R <- R + R A (l - 1 times) from R = A; l = inf runs
+    R <- R + R R until the entry count stops growing.  ``threads`` is
+    accepted for compatibility and has no effect.
     """
     _check_depth(l)
     if l == INF and g.n > _LARGE_INF_WARN:
@@ -126,31 +108,19 @@ def local_closure(g: DirectedGraph, l, threads: int = 1) -> LocalClosure:
             "l = inf computes the full transitive closure; this is expensive "
             "on large cyclic graphs", RuntimeWarning, stacklevel=2)
     n = g.n
-    adj = g.adj
-    indptr, indices = adj.indptr, adj.indices
-
-    if threads > 1 and n > 1:
-        chunks = np.array_split(np.arange(n), threads * 4)
-        def work(chunk):
-            return [_reach_from(indptr, indices, int(s), l) for s in chunk]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            pieces = list(ex.map(work, chunks))
-        out_reach = [r for piece in pieces for r in piece]
-    else:
-        out_reach = [_reach_from(indptr, indices, s, l) for s in range(n)]
-
-    d_out = np.fromiter((len(r) for r in out_reach), dtype=np.int64, count=n)
-
-    # in_reach is the transpose of out_reach; build it through CSC.
-    op = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(d_out, out=op[1:])
-    oc = np.concatenate(out_reach) if n else np.empty(0, dtype=np.int64)
-    fwd = sp.csr_matrix((np.ones(len(oc), dtype=np.int8), oc, op), shape=(n, n))
-    bwd = fwd.T.tocsr()
-    bwd.sort_indices()
-    in_reach = [bwd.indices[bwd.indptr[i]:bwd.indptr[i + 1]].astype(np.int64)
-                for i in range(n)]
-    d_in = np.diff(bwd.indptr).astype(np.int64)
-
-    return LocalClosure(n=n, l=l, out_reach=out_reach, in_reach=in_reach,
-                        d_out_plus=d_out, d_in_plus=d_in)
+    adj = sp.csr_matrix((np.ones(g.adj.nnz, dtype=bool), g.adj.indices,
+                         g.adj.indptr), shape=(n, n))
+    reach = adj
+    depth = 1
+    while depth < l:
+        grown = reach + reach @ (reach if l == INF else adj)
+        if grown.nnz == reach.nnz:
+            break  # no new pair, so no later step adds one either
+        reach = grown
+        depth += 1
+    reach.sort_indices()
+    rev = reach.T.tocsr()
+    rev.sort_indices()
+    return LocalClosure(n=n, l=l, out_mat=reach, in_mat=rev,
+                        d_out_plus=np.diff(reach.indptr).astype(np.int64),
+                        d_in_plus=np.diff(rev.indptr).astype(np.int64))

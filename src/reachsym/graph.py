@@ -7,7 +7,7 @@ backed by a CSR adjacency matrix, so it is safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,25 +61,11 @@ class DirectedGraph:
         r = self.rev
         return r.indices[r.indptr[u]:r.indptr[u + 1]]
 
-    @property
-    def out_adj(self) -> list[np.ndarray]:
-        return [self.out_neighbors(u) for u in range(self.n)]
-
-    @property
-    def in_adj(self) -> list[np.ndarray]:
-        return [self.in_neighbors(u) for u in range(self.n)]
-
     def reversed(self) -> "DirectedGraph":
         """Graph with every edge direction flipped (labels preserved)."""
         return DirectedGraph(self.n, self.labels, self.rev.copy(),
                              weighted=self.weighted,
                              self_loops_dropped=self.self_loops_dropped)
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
 
 
 @dataclass
@@ -209,6 +195,9 @@ def graph_from_pairs(pairs, n: int | None = None, weights=None) -> DirectedGraph
     return _graph_from_edge_dict(labels, edges, weights is not None, loops)
 
 
+_WRITE_CHUNK = 65_536
+
+
 def write_undirected(g: UndirectedWeightedGraph, stream: IO[str],
                      precision: int = 6) -> None:
     """Emit ``labelU<TAB>labelV<TAB>weight`` lines in canonical (u, v) order.
@@ -217,13 +206,16 @@ def write_undirected(g: UndirectedWeightedGraph, stream: IO[str],
     """
     labels = g.labels
     fmt = f"%.{precision}f"
-    stream.writelines(
-        f"{labels[a]}\t{labels[b]}\t{fmt % c}\n"
-        for a, b, c in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+    # Formatted in slices so no Python list the size of the output is built.
+    for s in range(0, len(g.w), _WRITE_CHUNK):
+        e = s + _WRITE_CHUNK
+        stream.writelines(
+            f"{labels[a]}\t{labels[b]}\t{fmt % c}\n"
+            for a, b, c in zip(g.u[s:e].tolist(), g.v[s:e].tolist(),
+                               g.w[s:e].tolist()))
 
 
-def read_undirected(stream: Iterable[str], precision_tolerant: bool = True
-                    ) -> list[tuple[str, str, float]]:
+def read_undirected(stream: Iterable[str]) -> list[tuple[str, str, float]]:
     """Read back a written undirected edge list as (labelU, labelV, weight)."""
     out = []
     for line_no, raw in enumerate(stream, 1):

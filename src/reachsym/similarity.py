@@ -213,6 +213,7 @@ def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
             acc = pair_hierarchy_discount(acc, hh, cfg.gamma)
 
     out = _to_undirected(g, acc, cfg.epsilon)
+    del acc  # out holds its own copy; free the pair arrays before top-t
     if cfg.top_t is not None:
         out = sparsify_top_t(out, cfg.top_t)
     return out
@@ -226,14 +227,28 @@ def sparsify_top_t(g: UndirectedWeightedGraph, t: int) -> UndirectedWeightedGrap
     m = len(g.w)
     if m == 0:
         return g
-    node = np.concatenate([g.u, g.v])
-    partner = np.concatenate([g.v, g.u])
-    w = np.concatenate([g.w, g.w])
-    eid = np.tile(np.arange(m), 2)
-    order = np.lexsort((partner, -w, node))
-    sn = node[order]
-    starts = np.flatnonzero(np.r_[True, sn[1:] != sn[:-1]])
-    rank = np.arange(2 * m) - np.repeat(starts, np.diff(np.r_[starts, 2 * m]))
+    # Edge ids of the symmetric adjacency, row by row: pairs with smaller
+    # partners (transposing the upper triangle keeps them ascending), then
+    # pairs with larger ones.  The tie rule needs partners ascending.
+    n = g.n
+    eid = np.arange(m)
+    upper_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(g.u, minlength=n), out=upper_ptr[1:])
+    lower = sp.csr_matrix((eid, g.v, upper_ptr), shape=(n, n)).T.tocsr()
+    indptr = upper_ptr + lower.indptr
+    edge = np.empty(2 * m, dtype=np.int64)
+    edge[eid + np.repeat(upper_ptr[:-1], np.diff(lower.indptr))] = lower.data
+    edge[eid + np.repeat(lower.indptr[1:], np.diff(upper_ptr))] = eid
+    del lower
+    w = g.w[edge]
+    keep = np.ones(len(edge), dtype=bool)
+    for r in np.flatnonzero(np.diff(indptr) > t).tolist():
+        row = w[indptr[r]:indptr[r + 1]]
+        tau = np.partition(row, len(row) - t)[len(row) - t]  # t-th largest
+        kept = row > tau
+        ties = np.flatnonzero(row == tau)[:t - np.count_nonzero(kept)]
+        kept[ties] = True  # the smallest partners among the ties
+        keep[indptr[r]:indptr[r + 1]] = kept
     mask = np.zeros(m, dtype=bool)
-    mask[eid[order[rank < t]]] = True
+    mask[edge[keep]] = True
     return UndirectedWeightedGraph(g.n, g.labels, g.u[mask], g.v[mask], g.w[mask])

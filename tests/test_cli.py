@@ -174,3 +174,49 @@ class TestUsageErrors:
     def test_unknown_hierarchy_value(self, tmp_path):
         inp = write(tmp_path / "g.tsv", CHAIN)
         assert main(["symmetrize", "--hierarchy", "bogus", "-i", inp]) == 1
+
+
+def assert_one_error_line(capsys):
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+class TestRejectedInputs:
+    def test_invalid_utf8_input_is_parse_error(self, tmp_path, capsys):
+        inp = tmp_path / "g.tsv"
+        inp.write_bytes(b"a\tb\nb\tc\xff\n")
+        assert main(["symmetrize", "-i", str(inp)]) == 3
+        assert "line 2" in assert_one_error_line(capsys)
+
+    def test_invalid_utf8_hierarchy_file_is_parse_error(self, tmp_path, capsys):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        hf = tmp_path / "h.tsv"
+        hf.write_bytes(b"u\t0\n\xff\t1\nw\t1\n")
+        assert main(["symmetrize", "--hierarchy", f"file:{hf}", "-i", inp]) == 3
+        assert "line 2" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("value", ["-1", "18", "400", "six"])
+    def test_precision_out_of_range(self, tmp_path, capsys, value):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        assert main(["symmetrize", "-i", inp, "--precision", value]) == 1
+        assert "--precision" in assert_one_error_line(capsys)
+        assert main(["hierarchy", "-i", inp, "--precision", value]) == 1
+        assert_one_error_line(capsys)
+
+    def test_precision_bounds_accepted(self, tmp_path, capsys):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        assert main(["symmetrize", "-i", inp, "--precision", "0"]) == 0
+        assert capsys.readouterr()[0] == "u\tv\t1\n"
+        assert main(["symmetrize", "-i", inp, "--precision", "17"]) == 0
+        assert capsys.readouterr()[0] == f"u\tv\t{0.5 ** 0.5:.17f}\n"
+
+    @pytest.mark.parametrize("method", ["reach", "bibliometric"])
+    def test_weighted_rejected_where_ignored(self, tmp_path, capsys, method):
+        inp = write(tmp_path / "g.tsv", "u\tw\t2\nv\tw\t3\n")
+        assert main(["symmetrize", "--method", method, "--weighted",
+                     "-i", inp]) == 1
+        assert "--weighted" in assert_one_error_line(capsys)

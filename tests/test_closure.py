@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from reachsym import (INF, ValidationError, bfs_bounded, graph_from_pairs,
                       local_closure)
 
-from conftest import digraphs, random_digraph, reach_by_matrix_powers
+from conftest import (cyclic_digraphs, digraphs, random_digraph,
+                      reach_by_matrix_powers)
 
 
 def closure_sets(g, l):
@@ -151,6 +152,14 @@ class TestLocalClosure:
             c = local_closure(g, l)
             for s in range(g.n):
                 assert c.out_reach[s].tolist() == bfs_bounded(g, s, l, "out").tolist()
+
+    @given(cyclic_digraphs(), st.sampled_from([1, 2, 3, INF]))
+    @settings(max_examples=150, deadline=None)
+    def test_cyclic_graphs_match_bfs_both_directions(self, g, l):
+        c = local_closure(g, l)
+        for s in range(g.n):
+            assert c.out_reach[s].tolist() == bfs_bounded(g, s, l, "out").tolist()
+            assert c.in_reach[s].tolist() == bfs_bounded(g, s, l, "in").tolist()
 
     def test_threaded_equals_serial(self):
         rng = np.random.default_rng(17)

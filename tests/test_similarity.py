@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachsym import (INF, SymmetrizationConfig, UndirectedWeightedGraph,
-                      ValidationError, auto_hierarchy, bibliometric,
-                      degree_discounted, dense_closure, dense_similarity,
+from reachsym import (INF, SimilarityAccumulator, SymmetrizationConfig,
+                      UndirectedWeightedGraph, ValidationError, auto_hierarchy,
+                      bibliometric, degree_discounted, dense_closure,
+                      dense_similarity,
                       graph_from_pairs, in_reach_similarity, local_closure,
                       out_reach_similarity, sparsify_top_t, symmetrize)
 
-from conftest import digraphs, random_digraph
+from conftest import (canonical_pairs, digraphs, random_digraph,
+                      sparsify_top_t_by_lexsort)
 
 INV_SQRT2 = 0.7071067811865476  # 1 / 2**0.5
 
@@ -226,6 +229,35 @@ class TestSparsifyTopT:
         g = self.make([], 1)
         with pytest.raises(ValidationError):
             sparsify_top_t(g, 0)
+
+    @given(canonical_pairs(), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort_reference(self, pairs, t):
+        n, u, v, w = pairs
+        g = UndirectedWeightedGraph(n, [str(i) for i in range(n)], u, v, w)
+        mask = sparsify_top_t_by_lexsort(g, t)
+        out = sparsify_top_t(g, t)
+        assert out.u.tolist() == u[mask].tolist()
+        assert out.v.tolist() == v[mask].tolist()
+        assert out.w.tolist() == w[mask].tolist()
+
+
+class TestAccumulatorAdd:
+    @given(canonical_pairs(max_weight=1000), canonical_pairs(max_weight=1000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sparse_sum(self, a, b):
+        n = max(a[0], b[0])
+        acc_a = SimilarityAccumulator(n, a[1], a[2], a[3] / 7.0)
+        acc_b = SimilarityAccumulator(n, b[1], b[2], b[3] / 3.0)
+        total = acc_a.add(acc_b)
+
+        def coo(acc):
+            return sp.csr_matrix((acc.w, (acc.u, acc.v)), shape=(n, n))
+        ref = SimilarityAccumulator.from_matrix(coo(acc_a) + coo(acc_b), n)
+        assert total.u.tolist() == ref.u.tolist()
+        assert total.v.tolist() == ref.v.tolist()
+        assert total.w.tolist() == ref.w.tolist()
+        assert total.u.dtype == total.v.dtype == np.int64
 
 
 class TestOracleAgreement:
