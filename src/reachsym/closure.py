@@ -41,9 +41,11 @@ class LocalClosure:
     d_in_plus: np.ndarray         # |in_reach| per node
 
     def out_csr(self) -> sp.csr_matrix:
+        """The stored boolean out-reach pattern itself, not a copy: read only."""
         return self.out_mat
 
     def in_csr(self) -> sp.csr_matrix:
+        """The stored boolean in-reach pattern itself, not a copy: read only."""
         return self.in_mat
 
     @cached_property
@@ -98,9 +100,9 @@ def bfs_bounded(g: DirectedGraph, source: int, l, direction: str = "out"
 def local_closure(g: DirectedGraph, l, threads: int = 1) -> LocalClosure:
     """Local closure by boolean sparse matrix powers.
 
-    Bounded l runs R <- R + R A (l - 1 times) from R = A; l = inf runs
-    R <- R + R R until the entry count stops growing.  ``threads`` is
-    accepted for compatibility and has no effect.
+    Runs R <- R + R A from R = A, l - 1 times or until the entry count stops
+    growing, which is how l = inf ends.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     _check_depth(l)
     if l == INF and g.n > _LARGE_INF_WARN:
@@ -108,12 +110,13 @@ def local_closure(g: DirectedGraph, l, threads: int = 1) -> LocalClosure:
             "l = inf computes the full transitive closure; this is expensive "
             "on large cyclic graphs", RuntimeWarning, stacklevel=2)
     n = g.n
-    adj = sp.csr_matrix((np.ones(g.adj.nnz, dtype=bool), g.adj.indices,
-                         g.adj.indptr), shape=(n, n))
+    # Own index arrays: sort_indices below must never reorder g.adj.
+    adj = sp.csr_matrix((np.ones(g.adj.nnz, dtype=bool), g.adj.indices.copy(),
+                         g.adj.indptr.copy()), shape=(n, n))
     reach = adj
     depth = 1
     while depth < l:
-        grown = reach + reach @ (reach if l == INF else adj)
+        grown = reach + reach @ adj
         if grown.nnz == reach.nnz:
             break  # no new pair, so no later step adds one either
         reach = grown

@@ -227,19 +227,16 @@ def sparsify_top_t(g: UndirectedWeightedGraph, t: int) -> UndirectedWeightedGrap
     m = len(g.w)
     if m == 0:
         return g
-    # Edge ids of the symmetric adjacency, row by row: pairs with smaller
-    # partners (transposing the upper triangle keeps them ascending), then
-    # pairs with larger ones.  The tie rule needs partners ascending.
-    n = g.n
-    eid = np.arange(m)
-    upper_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(g.u, minlength=n), out=upper_ptr[1:])
-    lower = sp.csr_matrix((eid, g.v, upper_ptr), shape=(n, n)).T.tocsr()
-    indptr = upper_ptr + lower.indptr
-    edge = np.empty(2 * m, dtype=np.int64)
-    edge[eid + np.repeat(upper_ptr[:-1], np.diff(lower.indptr))] = lower.data
-    edge[eid + np.repeat(lower.indptr[1:], np.diff(upper_ptr))] = eid
-    del lower
+    # Symmetric adjacency U + U^T holding edge id + 1 (the sum would drop an
+    # explicit 0); the halves never overlap.  The tie rule needs partners
+    # ascending within each row.
+    upper = SimilarityAccumulator(g.n, g.u, g.v,
+                                  np.arange(1, m + 1)).to_matrix()
+    sym = (upper + upper.T).tocsr()
+    del upper
+    sym.sort_indices()
+    indptr, edge = sym.indptr, sym.data - 1
+    del sym
     w = g.w[edge]
     keep = np.ones(len(edge), dtype=bool)
     for r in np.flatnonzero(np.diff(indptr) > t).tolist():
