@@ -6,9 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .graph import CanonicalPairs
+
 
 @dataclass
-class SimilarityAccumulator:
+class SimilarityAccumulator(CanonicalPairs):
     """Map from canonical pairs (u < v) to accumulated weight.
 
     Stored as parallel arrays sorted lexicographically by (u, v); weights are
@@ -41,31 +43,12 @@ class SimilarityAccumulator:
     def __len__(self) -> int:
         return len(self.w)
 
-    def get(self, a: int, b: int, default: float = 0.0) -> float:
-        if a == b:
-            return default
-        if a > b:
-            a, b = b, a
-        lo = np.searchsorted(self.u, a, side="left")
-        hi = np.searchsorted(self.u, a, side="right")
-        k = lo + np.searchsorted(self.v[lo:hi], b, side="left")
-        if k < hi and self.v[k] == b:
-            return float(self.w[k])
-        return default
-
     def to_matrix(self) -> sp.csr_matrix:
         """Strictly upper-triangular CSR view of the pair weights, built
         straight from the canonical arrays (sorted indices, no duplicates)."""
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.u, minlength=self.n), out=indptr[1:])
         return sp.csr_matrix((self.w, self.v, indptr), shape=(self.n, self.n))
-
-    def to_dense(self) -> np.ndarray:
-        """Symmetric dense matrix (tests and small graphs only)."""
-        m = np.zeros((self.n, self.n))
-        m[self.u, self.v] = self.w
-        m[self.v, self.u] = self.w
-        return m
 
     def add(self, other: "SimilarityAccumulator") -> "SimilarityAccumulator":
         """Entrywise sum; one addition per shared pair, by a sorted merge of
@@ -79,7 +62,10 @@ class SimilarityAccumulator:
                                      total.data)
 
     def scaled(self, factors: np.ndarray) -> "SimilarityAccumulator":
-        """New accumulator with per-pair weights multiplied by ``factors``."""
+        """New accumulator with per-pair weights multiplied by ``factors``;
+        it shares ``u`` and ``v`` with this one when no weight becomes 0."""
         w = self.w * factors
         keep = w != 0.0
+        if keep.all():
+            return SimilarityAccumulator(self.n, self.u, self.v, w)
         return SimilarityAccumulator(self.n, self.u[keep], self.v[keep], w[keep])

@@ -8,20 +8,18 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from collections import Counter
 
 import numpy as np
-import scipy.sparse as sp
 
-from .accumulator import SimilarityAccumulator
 from .closure import local_closure
-from .graph import (DirectedGraph, ParseError, UndirectedWeightedGraph,
-                    ValidationError, load_edge_list, write_undirected)
-from .hierarchy import auto_hierarchy, load_hierarchy, pair_hierarchy_discount
-from .oracle import dense_closure, dense_similarity
-from .similarity import SymmetrizationConfig, sparsify_top_t, symmetrize
+from .graph import (DirectedGraph, ParseError, ValidationError, load_edge_list,
+                    write_undirected)
+from .hierarchy import auto_hierarchy, load_hierarchy
+from .similarity import SymmetrizationConfig, symmetrize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,11 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; has no effect")
     s.add_argument("--precision", type=int, default=6,
                    choices=range(18), metavar="0..17")
-    s.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
 
     h = sub.add_parser("hierarchy", help="emit auto-computed hierarchy scores")
     add_io(h)
-    h.add_argument("--weighted", action="store_true")
     h.add_argument("--precision", type=int, default=6,
                    choices=range(18), metavar="0..17")
 
@@ -91,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(t, output=False)
     t.add_argument("--l", default=None, metavar="DEPTH",
                    help="also print closure-degree histograms at this depth")
-    t.add_argument("--weighted", action="store_true")
     p.set_defaults(threads=1)
     return p
 
@@ -128,22 +123,6 @@ def _resolve_hierarchy(args, g):
     raise ValidationError(f"invalid --hierarchy value {choice!r}")
 
 
-def _oracle_symmetrize(g, cfg, h) -> UndirectedWeightedGraph:
-    closure = dense_closure(g, cfg.l)
-    hh = h if cfg.hierarchy_mode != "none" else None
-    _, _, a_u = dense_similarity(closure, cfg.alpha, cfg.beta, h=hh,
-                                 delta=cfg.delta)
-    acc = SimilarityAccumulator.from_matrix(sp.csr_matrix(np.triu(a_u, 1)), g.n)
-    if hh is not None:
-        acc = pair_hierarchy_discount(acc, hh, cfg.gamma)
-    keep = acc.w > cfg.epsilon
-    out = UndirectedWeightedGraph(g.n, g.labels, acc.u[keep], acc.v[keep],
-                                  acc.w[keep])
-    if cfg.top_t is not None:
-        out = sparsify_top_t(out, cfg.top_t)
-    return out
-
-
 def run_symmetrize(args) -> int:
     t0 = time.perf_counter()
     if args.l is not None and args.method != "reach":
@@ -162,10 +141,7 @@ def run_symmetrize(args) -> int:
         hierarchy_mode=mode, epsilon=args.epsilon, top_t=args.top_t,
         hub_cap=args.hub_cap, threads=args.threads)
     cfg.validate()
-    if args.oracle:
-        result = _oracle_symmetrize(g, cfg, scores)
-    else:
-        result = symmetrize(g, cfg, scores)
+    result = symmetrize(g, cfg, scores)
     _emit(args, lambda f: write_undirected(result, f, precision=args.precision))
     print(f"nodes={g.n} edges={g.edge_count} "
           f"undirected_edges={result.edge_count} "
@@ -204,11 +180,31 @@ def run_stats(args) -> int:
 
 
 def _emit(args, write_fn) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as f:
+    """``write_fn(stream)`` to stdout or to ``-o``.  A regular ``-o`` file is
+    replaced only once the write succeeds, so a failed run leaves it as it
+    was; anything else (``/dev/null``, a FIFO) is written in place."""
+    path = getattr(args, "output", None)
+    if not path:
+        return write_fn(sys.stdout)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as f:
+            return write_fn(f)
+    target = os.path.realpath(path)  # replace a symlink's target, not the link
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    try:
+        f = open(tmp, "x", encoding="utf-8")  # mode 0o666 & ~umask, as "w" gives
+    except OSError as e:
+        e.filename = path
+        raise
+    try:
+        with f:
             write_fn(f)
-    else:
-        write_fn(sys.stdout)
+        if os.path.exists(target):
+            os.chmod(tmp, os.stat(target).st_mode & 0o7777)  # as "w" keeps it
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,7 @@ backed by a CSR adjacency matrix, so it is safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import IO, Iterable
 
 import numpy as np
@@ -68,8 +69,33 @@ class DirectedGraph:
                              self_loops_dropped=self.self_loops_dropped)
 
 
+class CanonicalPairs:
+    """Lookups shared by the pair types: ``n`` nodes and parallel arrays
+    ``u < v``, sorted by (u, v), with weights ``w``."""
+
+    def get(self, a: int, b: int, default: float = 0.0) -> float:
+        """Weight of the unordered pair (a, b), ``default`` if absent."""
+        if a == b:
+            return default
+        if a > b:
+            a, b = b, a
+        lo = np.searchsorted(self.u, a, side="left")
+        hi = np.searchsorted(self.u, a, side="right")
+        k = lo + np.searchsorted(self.v[lo:hi], b, side="left")
+        if k < hi and self.v[k] == b:
+            return float(self.w[k])
+        return default
+
+    def to_dense(self) -> np.ndarray:
+        """Symmetric dense weight matrix (tests and small graphs only)."""
+        m = np.zeros((self.n, self.n))
+        m[self.u, self.v] = self.w
+        m[self.v, self.u] = self.w
+        return m
+
+
 @dataclass
-class UndirectedWeightedGraph:
+class UndirectedWeightedGraph(CanonicalPairs):
     """Canonical undirected weighted edge set: u < v, sorted by (u, v), w > 0."""
 
     n: int
@@ -88,38 +114,47 @@ class UndirectedWeightedGraph:
 
     def weight(self, a: int, b: int) -> float:
         """Weight of the unordered pair (a, b), 0.0 if absent."""
-        if a == b:
-            return 0.0
-        if a > b:
-            a, b = b, a
-        lo = np.searchsorted(self.u, a, side="left")
-        hi = np.searchsorted(self.u, a, side="right")
-        k = lo + np.searchsorted(self.v[lo:hi], b, side="left")
-        if k < hi and self.v[k] == b:
-            return float(self.w[k])
-        return 0.0
-
-    def to_dense(self) -> np.ndarray:
-        """Symmetric dense weight matrix (tests and small graphs only)."""
-        m = np.zeros((self.n, self.n))
-        m[self.u, self.v] = self.w
-        m[self.v, self.u] = self.w
-        return m
+        return self.get(a, b)
 
 
-def _graph_from_edge_dict(labels, edges, weighted, loops) -> DirectedGraph:
+def _build_graph(labels: list[str], u: np.ndarray, v: np.ndarray,
+                 w: np.ndarray | None, weighted: bool) -> DirectedGraph:
+    """Graph over ``labels`` from parallel edge arrays in input order.
+    Self-loops are dropped and counted.  Duplicate edges collapse to unit
+    weight when ``w`` is None, else to their weights summed in input order."""
     n = len(labels)
-    if edges:
-        us = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-        vs = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-        ws = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
-    else:
-        us = vs = np.empty(0, dtype=np.int64)
-        ws = np.empty(0, dtype=np.float64)
-    adj = sp.csr_matrix((ws, (us, vs)), shape=(n, n))
-    adj.sort_indices()
-    return DirectedGraph(n, list(labels), adj, weighted=weighted,
-                         self_loops_dropped=loops)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    w = None if w is None else w[keep]
+    # return_inverse takes numpy's sorting path, many times faster than the
+    # plain call for int64 keys.
+    key, inv = np.unique(u * n + v, return_inverse=True)
+    data = np.ones(len(key)) if w is None else \
+        np.bincount(inv, weights=w, minlength=len(key))
+    # The sorted keys are the (u, v)-ordered CSR entries.
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    adj = sp.csr_matrix((data, key % n, indptr), shape=(n, n))
+    return DirectedGraph(n, labels, adj, weighted=weighted,
+                         self_loops_dropped=len(keep) - len(u))
+
+
+def _line_error(parts: list[str], line_no: int, weighted: bool) -> None:
+    """Raise the error of data line ``line_no``, split at tabs into ``parts``,
+    if it has one."""
+    if len(parts) < 2 or not parts[0] or not parts[1]:
+        raise ParseError("expected `src<TAB>dst[<TAB>weight]`", line_no)
+    if weighted:
+        if len(parts) < 3:
+            raise ValidationError(
+                f"line {line_no}: weighted input requires a weight column")
+        try:
+            w = float(parts[2])
+        except ValueError:
+            raise ParseError(f"non-numeric weight {parts[2]!r}", line_no) from None
+        if not np.isfinite(w) or w <= 0:
+            raise ValidationError(
+                f"line {line_no}: edge weight must be finite and > 0, got {parts[2]}")
 
 
 def load_edge_list(stream: Iterable[str], weighted: bool = False) -> DirectedGraph:
@@ -127,75 +162,69 @@ def load_edge_list(stream: Iterable[str], weighted: bool = False) -> DirectedGra
 
     Nodes are interned in first-appearance order.  Duplicate directed edges
     collapse (weights summed when ``weighted``, unit otherwise); self-loops
-    are dropped and counted.
+    are dropped and counted.  A malformed line raises the error of the first
+    such line, with its 1-based line number.
     """
+    lines = list(map(str.rstrip, map(str.rstrip, stream, repeat("\n")),
+                     repeat("\r")))
+    is_data = np.fromiter(map(bool, lines), bool, len(lines))
+    is_data &= ~np.fromiter(map(str.startswith, lines, repeat("#")), bool,
+                            len(lines))
+    data = list(compress(lines, is_data.tolist()))
+    del lines
+    # All data lines split at once: line i's fields are
+    # tokens[starts[i]:starts[i] + tabs[i] + 1].
+    tabs = np.fromiter(map(str.count, data, repeat("\t")), np.int64, len(data))
+    starts = np.zeros(len(data), dtype=np.int64)
+    np.cumsum(tabs[:-1] + 1, out=starts[1:])
+    data = "\t".join(data)
+    tokens = np.array(data.split("\t"), dtype=object)
+    del data
+    # Checks over all lines at once; only if one fails are the lines walked
+    # in order, to raise the first line's error.
+    ok = bool((tabs >= (2 if weighted else 1)).all())
+    if ok:
+        ends = tokens[(starts[:, None] + np.arange(2)).ravel()].tolist()
+        ok = "" not in ends  # ends is src0, dst0, src1, dst1, ...
+    w = None
+    if ok and weighted:
+        try:
+            w = np.fromiter(map(float, tokens[starts + 2].tolist()), np.float64,
+                            len(starts))
+            ok = bool((np.isfinite(w) & (w > 0)).all())
+        except ValueError:
+            ok = False
+    if not ok:
+        line_nos = np.flatnonzero(is_data) + 1
+        for s, t, line_no in zip(starts.tolist(), tabs.tolist(), line_nos.tolist()):
+            _line_error(tokens[s:s + t + 1].tolist(), line_no, weighted)
+    del tokens
     index: dict[str, int] = {}
-    labels: list[str] = []
-    edges: dict[tuple[int, int], float] = {}
-    loops = 0
-
-    def intern(tok: str) -> int:
-        i = index.get(tok)
-        if i is None:
-            i = len(labels)
-            index[tok] = i
-            labels.append(tok)
-        return i
-
-    for line_no, raw in enumerate(stream, 1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2 or not parts[0] or not parts[1]:
-            raise ParseError("expected `src<TAB>dst[<TAB>weight]`", line_no)
-        if weighted:
-            if len(parts) < 3:
-                raise ValidationError(
-                    f"line {line_no}: weighted input requires a weight column")
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise ParseError(f"non-numeric weight {parts[2]!r}", line_no) from None
-            if not np.isfinite(w) or w <= 0:
-                raise ValidationError(
-                    f"line {line_no}: edge weight must be finite and > 0, got {parts[2]}")
-        else:
-            w = 1.0
-        u = intern(parts[0])
-        v = intern(parts[1])
-        if u == v:
-            loops += 1
-            continue
-        if weighted:
-            edges[(u, v)] = edges.get((u, v), 0.0) + w
-        else:
-            edges[(u, v)] = 1.0
-
-    return _graph_from_edge_dict(labels, edges, weighted, loops)
+    ids = np.fromiter([index.setdefault(t, len(index)) for t in ends],
+                      np.int64, len(ends))
+    del ends
+    # Fresh copies of the labels: the interned tokens lie scattered among the
+    # freed duplicates and would keep all of that memory resident.
+    labels = "\t".join(index).split("\t") if index else []
+    del index
+    return _build_graph(labels, ids[0::2], ids[1::2], w, weighted)
 
 
 def graph_from_pairs(pairs, n: int | None = None, weights=None) -> DirectedGraph:
     """Build a graph from integer (u, v) pairs; convenience for tests/scripts."""
-    pairs = list(pairs)
+    uv = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
     if n is None:
-        n = max((max(u, v) for u, v in pairs), default=-1) + 1
-    edges: dict[tuple[int, int], float] = {}
-    loops = 0
-    for k, (u, v) in enumerate(pairs):
-        if u == v:
-            loops += 1
-            continue
-        w = 1.0 if weights is None else float(weights[k])
-        if weights is None:
-            edges[(u, v)] = 1.0
-        else:
-            edges[(u, v)] = edges.get((u, v), 0.0) + w
-    labels = [str(i) for i in range(n)]
-    return _graph_from_edge_dict(labels, edges, weights is not None, loops)
+        n = int(uv.max()) + 1 if len(uv) else 0
+    if len(uv) and (uv.min() < 0 or uv.max() >= n):
+        raise ValueError(f"pair index outside 0..{n - 1}")
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    return _build_graph([str(i) for i in range(n)], uv[:, 0], uv[:, 1], w,
+                        weights is not None)
 
 
-_WRITE_CHUNK = 65_536
+# Pairs formatted per `%`; the slice's temporaries stay well under the
+# parser's memory peak.
+_WRITE_CHUNK = 8_192
 
 
 def write_undirected(g: UndirectedWeightedGraph, stream: IO[str],
@@ -204,15 +233,15 @@ def write_undirected(g: UndirectedWeightedGraph, stream: IO[str],
 
     Output is byte-identical across runs and worker counts for equal inputs.
     """
-    labels = g.labels
-    fmt = f"%.{precision}f"
-    # Formatted in slices so no Python list the size of the output is built.
+    labels = np.array(g.labels, dtype=object)
+    line = f"%s\t%s\t%.{precision}f\n"
     for s in range(0, len(g.w), _WRITE_CHUNK):
-        e = s + _WRITE_CHUNK
-        stream.writelines(
-            f"{labels[a]}\t{labels[b]}\t{fmt % c}\n"
-            for a, b, c in zip(g.u[s:e].tolist(), g.v[s:e].tolist(),
-                               g.w[s:e].tolist()))
+        w = g.w[s:s + _WRITE_CHUNK].tolist()
+        items = [None] * (3 * len(w))
+        items[0::3] = labels[g.u[s:s + _WRITE_CHUNK]].tolist()
+        items[1::3] = labels[g.v[s:s + _WRITE_CHUNK]].tolist()
+        items[2::3] = w
+        stream.write((line * len(w)) % tuple(items))
 
 
 def read_undirected(stream: Iterable[str]) -> list[tuple[str, str, float]]:

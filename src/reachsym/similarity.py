@@ -178,9 +178,11 @@ def bibliometric(g: DirectedGraph) -> UndirectedWeightedGraph:
 
 def _to_undirected(g: DirectedGraph, acc: SimilarityAccumulator,
                    epsilon: float = 0.0) -> UndirectedWeightedGraph:
-    keep = acc.w > epsilon
-    return UndirectedWeightedGraph(g.n, g.labels, acc.u[keep], acc.v[keep],
-                                   acc.w[keep])
+    u, v, w = acc.u, acc.v, acc.w
+    keep = w > epsilon
+    if not keep.all():
+        u, v, w = u[keep], v[keep], w[keep]
+    return UndirectedWeightedGraph(g.n, g.labels, u, v, w)
 
 
 def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
@@ -213,7 +215,7 @@ def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
             acc = pair_hierarchy_discount(acc, hh, cfg.gamma)
 
     out = _to_undirected(g, acc, cfg.epsilon)
-    del acc  # out holds its own copy; free the pair arrays before top-t
+    del acc  # frees the pair arrays before top-t unless out shares them
     if cfg.top_t is not None:
         out = sparsify_top_t(out, cfg.top_t)
     return out
@@ -228,10 +230,11 @@ def sparsify_top_t(g: UndirectedWeightedGraph, t: int) -> UndirectedWeightedGrap
     if m == 0:
         return g
     # Symmetric adjacency U + U^T holding edge id + 1 (the sum would drop an
-    # explicit 0); the halves never overlap.  The tie rule needs partners
-    # ascending within each row.
-    upper = SimilarityAccumulator(g.n, g.u, g.v,
-                                  np.arange(1, m + 1)).to_matrix()
+    # explicit 0); the halves never overlap.  The ids take the narrowest
+    # dtype that holds m: U + U^T is this step's memory peak.  The tie rule
+    # needs partners ascending within each row.
+    ids = np.arange(1, m + 1, dtype=np.min_scalar_type(m))
+    upper = SimilarityAccumulator(g.n, g.u, g.v, ids).to_matrix()
     sym = (upper + upper.T).tocsr()
     del upper
     sym.sort_indices()

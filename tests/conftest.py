@@ -1,7 +1,10 @@
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
-from reachsym import graph_from_pairs
+from reachsym import (ParseError, SimilarityAccumulator, UndirectedWeightedGraph,
+                      ValidationError, dense_closure, dense_similarity,
+                      graph_from_pairs, pair_hierarchy_discount, sparsify_top_t)
 
 
 @st.composite
@@ -80,3 +83,76 @@ def cyclic_digraphs(draw, max_n=12, max_edges=30):
         max_size=max_edges))
     edges += [(i, i + 1) for i in range(k)] + [(k, 0)]
     return graph_from_pairs(edges, n=n)
+
+
+def load_edge_list_by_lines(stream, weighted=False):
+    """Reference parser: one Python pass per line, a tuple-keyed edge dict
+    and a COO-built CSR.  Returns (labels, adj, self_loops_dropped)."""
+    index, labels, edges, loops = {}, [], {}, 0
+
+    def intern(tok):
+        i = index.get(tok)
+        if i is None:
+            i = len(labels)
+            index[tok] = i
+            labels.append(tok)
+        return i
+
+    for line_no, raw in enumerate(stream, 1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2 or not parts[0] or not parts[1]:
+            raise ParseError("expected `src<TAB>dst[<TAB>weight]`", line_no)
+        if weighted:
+            if len(parts) < 3:
+                raise ValidationError(
+                    f"line {line_no}: weighted input requires a weight column")
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise ParseError(f"non-numeric weight {parts[2]!r}", line_no) from None
+            if not np.isfinite(w) or w <= 0:
+                raise ValidationError(
+                    f"line {line_no}: edge weight must be finite and > 0, got {parts[2]}")
+        else:
+            w = 1.0
+        u = intern(parts[0])
+        v = intern(parts[1])
+        if u == v:
+            loops += 1
+            continue
+        edges[(u, v)] = edges.get((u, v), 0.0) + w if weighted else 1.0
+    n = len(labels)
+    us = np.array([e[0] for e in edges], dtype=np.int64)
+    vs = np.array([e[1] for e in edges], dtype=np.int64)
+    ws = np.array(list(edges.values()), dtype=np.float64)
+    adj = sp.csr_matrix((ws, (us, vs)), shape=(n, n))
+    adj.sort_indices()
+    return labels, adj, loops
+
+
+def write_undirected_by_fstrings(g, stream, precision=6):
+    """Reference writer: one f-string per output line."""
+    fmt = f"%.{precision}f"
+    stream.writelines(f"{g.labels[a]}\t{g.labels[b]}\t{fmt % c}\n"
+                      for a, b, c in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+
+
+def oracle_symmetrize(g, cfg, h=None):
+    """Dense-oracle counterpart of ``symmetrize``: dense closure and
+    similarity, then the same pair discount, epsilon and top-t steps."""
+    closure = dense_closure(g, cfg.l)
+    hh = h if cfg.hierarchy_mode != "none" else None
+    _, _, a_u = dense_similarity(closure, cfg.alpha, cfg.beta, h=hh,
+                                 delta=cfg.delta)
+    acc = SimilarityAccumulator.from_matrix(sp.csr_matrix(np.triu(a_u, 1)), g.n)
+    if hh is not None:
+        acc = pair_hierarchy_discount(acc, hh, cfg.gamma)
+    keep = acc.w > cfg.epsilon
+    out = UndirectedWeightedGraph(g.n, g.labels, acc.u[keep], acc.v[keep],
+                                  acc.w[keep])
+    if cfg.top_t is not None:
+        out = sparsify_top_t(out, cfg.top_t)
+    return out

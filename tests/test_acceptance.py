@@ -216,9 +216,9 @@ def test_performance_smoke(tmp_path):
 
 
 def test_reachability_cross_validation():
-    """BFS closure equals the boolean-matrix-power oracle on 100 random
-    graphs for every depth, with exact set equality."""
-    with _report("BFS closure vs boolean matrix powers (100 graphs, exact)"):
+    """The sparse matrix-power closure equals the dense boolean-matrix-power
+    oracle on 100 random graphs for every depth, with exact set equality."""
+    with _report("sparse closure vs dense matrix powers (100 graphs, exact)"):
         rng = np.random.default_rng(31337)
         for _ in range(100):
             n = int(rng.integers(2, 31))

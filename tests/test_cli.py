@@ -1,7 +1,14 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
+from reachsym import SymmetrizationConfig, load_edge_list, write_undirected
+from reachsym import cli
 from reachsym.cli import main
+
+from conftest import oracle_symmetrize
 
 
 def write(path, text):
@@ -101,13 +108,18 @@ class TestSymmetrizeCommand:
         assert out == f"u\tv\t{expect:.6f}\n"
 
     def test_oracle_flag_agrees_with_sparse(self, tmp_path):
+        """The CLI's default output equals the dense oracle's, written by the
+        same writer."""
         rng = np.random.default_rng(61)
         lines = [f"{int(u)}\t{int(v)}"
                  for u, v in rng.integers(0, 25, size=(80, 2)) if u != v]
         inp = write(tmp_path / "g.tsv", "\n".join(lines) + "\n")
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         assert main(["symmetrize", "-i", inp, "-o", str(a)]) == 0
-        assert main(["symmetrize", "-i", inp, "-o", str(b), "--oracle"]) == 0
+        with open(inp, encoding="utf-8") as f:
+            g = load_edge_list(f)
+        with open(b, "w", encoding="utf-8") as f:
+            write_undirected(oracle_symmetrize(g, SymmetrizationConfig()), f)
         assert a.read_text() == b.read_text()
 
     def test_top_t_and_epsilon_flags(self, tmp_path, capsys):
@@ -220,3 +232,77 @@ class TestRejectedInputs:
         assert main(["symmetrize", "--method", method, "--weighted",
                      "-i", inp]) == 1
         assert "--weighted" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("sub", ["hierarchy", "stats"])
+    def test_weighted_unknown_where_weights_are_unused(self, tmp_path, capsys,
+                                                       sub):
+        inp = write(tmp_path / "g.tsv", "u\tw\t2\nv\tw\t3\n")
+        assert main([sub, "--weighted", "-i", inp]) == 1
+        assert "--weighted" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("sub", ["hierarchy", "stats"])
+    def test_weight_column_is_ignored(self, tmp_path, capsys, sub):
+        two = write(tmp_path / "two.tsv", "u\tw\nv\tw\nw\tx\nw\tx\n")
+        three = write(tmp_path / "three.tsv", "u\tw\t2\nv\tw\t3\nw\tx\t0.5\nw\tx\t1\n")
+        assert main([sub, "-i", two]) == 0
+        want = capsys.readouterr().out
+        assert main([sub, "-i", three]) == 0
+        assert capsys.readouterr().out == want != ""
+
+
+class TestOutputFile:
+    def run(self, tmp_path, dst):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        return main(["symmetrize", "-i", inp, "-o", str(dst)])
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, capsys,
+                                              monkeypatch):
+        def failing_writer(result, f, precision):
+            f.write("u\tv\t0.7")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_undirected", failing_writer)
+        dst = tmp_path / "u.tsv"
+        dst.write_bytes(b"previous\toutput\n")
+        assert self.run(tmp_path, dst) == 2
+        assert "disk full" in assert_one_error_line(capsys)
+        assert dst.read_bytes() == b"previous\toutput\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "u.tsv"]
+
+    def test_replaces_existing_file_without_temp_left(self, tmp_path):
+        dst = tmp_path / "u.tsv"
+        dst.write_text("previous\n")
+        assert self.run(tmp_path, dst) == 0
+        assert dst.read_text() == "u\tv\t0.707107\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "u.tsv"]
+
+    def test_dev_null_is_written_in_place(self, tmp_path):
+        assert self.run(tmp_path, os.devnull) == 0
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert self.run(tmp_path, tmp_path / "u.tsv") == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "u.tsv").stat().st_mode) == 0o640
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        dst = tmp_path / "u.tsv"
+        dst.write_text("previous\n")
+        dst.chmod(0o604)
+        assert self.run(tmp_path, dst) == 0
+        assert stat.S_IMODE(dst.stat().st_mode) == 0o604
+
+    def test_symlink_target_is_replaced(self, tmp_path):
+        real = tmp_path / "real.tsv"
+        real.write_text("previous\n")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(real)
+        assert self.run(tmp_path, link) == 0
+        assert link.is_symlink() and real.read_text() == "u\tv\t0.707107\n"
+
+    def test_missing_directory_names_the_requested_path(self, tmp_path, capsys):
+        dst = tmp_path / "nope" / "u.tsv"
+        assert self.run(tmp_path, dst) == 2
+        assert assert_one_error_line(capsys).endswith(f"'{dst}'")

@@ -9,7 +9,9 @@ from reachsym import (DirectedGraph, ParseError, UndirectedWeightedGraph,
                       ValidationError, condensation, graph_from_pairs,
                       load_edge_list, read_undirected, write_undirected)
 
-from conftest import digraphs, random_digraph, reach_by_matrix_powers
+from reachsym import graph
+from conftest import (digraphs, load_edge_list_by_lines, random_digraph,
+                      reach_by_matrix_powers, write_undirected_by_fstrings)
 
 
 def load(text, weighted=False):
@@ -75,6 +77,67 @@ class TestLoadEdgeList:
                 assert v in g.out_neighbors(u).tolist()
 
 
+# Few distinct fields, so duplicate edges, self-loops and every error are
+# frequent; 0.1/0.2/0.3 sum differently in different orders.
+_LABEL = st.sampled_from(["a", "b", "c", "é", "节点", "", " ", "#a"])
+_WEIGHT = st.sampled_from(["1", "0.1", "0.2", "0.3", "1e-300", "2.5", "0", "-1",
+                           "nan", "inf", "x", "", " 3 "])
+_LINE = st.one_of(
+    st.just(""),
+    st.lists(_LABEL | _WEIGHT, max_size=3).map(lambda f: "#" + "\t".join(f)),
+    st.tuples(_LABEL, _LABEL, _WEIGHT).map("\t".join),
+    st.lists(_LABEL | _WEIGHT, min_size=1, max_size=4).map("\t".join))
+
+
+def parsed(parse, text, weighted):
+    """Labels, CSR arrays and loop count, or the error's type and text."""
+    try:
+        g = parse(io.StringIO(text, newline=""), weighted=weighted)
+    except (ParseError, ValidationError) as e:
+        return type(e), str(e)
+    labels, adj, loops = ((g.labels, g.adj, g.self_loops_dropped)
+                          if isinstance(g, DirectedGraph) else g)
+    return (labels, adj.shape, adj.indptr.tolist(), adj.indices.tolist(),
+            adj.indices.dtype, adj.data.tolist(), loops)
+
+
+class TestLoadMatchesLineByLine:
+    @given(st.lists(_LINE, max_size=12), st.sampled_from(["\n", "\r\n"]),
+           st.booleans(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_same_graph_or_same_error(self, lines, eol, last_eol, weighted):
+        text = eol.join(lines) + (eol if last_eol else "")
+        assert parsed(load_edge_list, text, weighted) == \
+            parsed(load_edge_list_by_lines, text, weighted)
+
+    def test_duplicate_weights_sum_in_line_order(self):
+        fwd = load("a\tb\t0.1\na\tb\t0.2\na\tb\t0.3", weighted=True)
+        rev = load("a\tb\t0.3\na\tb\t0.2\na\tb\t0.1", weighted=True)
+        assert fwd.adj[0, 1] == (0.1 + 0.2) + 0.3
+        assert rev.adj[0, 1] == (0.3 + 0.2) + 0.1
+        assert fwd.adj[0, 1] != rev.adj[0, 1]
+
+    def test_first_bad_line_is_reported(self):
+        text = "# a\tb\n\na\tb\t1\nb\tc\tx\nc\n"
+        with pytest.raises(ParseError, match="^line 4: non-numeric weight 'x'$"):
+            load(text, weighted=True)
+        with pytest.raises(ParseError, match="^line 5: expected"):
+            load(text)
+
+
+class TestGraphFromPairs:
+    def test_rejects_index_outside_graph(self):
+        with pytest.raises(ValueError):
+            graph_from_pairs([(0, 2)], n=2)
+        with pytest.raises(ValueError):
+            graph_from_pairs([(-1, 0)], n=2)
+
+    def test_weighted_duplicates_sum_and_loops_count(self):
+        g = graph_from_pairs([(0, 1), (1, 1), (0, 1)], weights=[0.5, 9.0, 2.0])
+        assert g.n == 2 and g.weighted and g.self_loops_dropped == 1
+        assert g.adj.toarray().tolist() == [[0.0, 2.5], [0.0, 0.0]]
+
+
 class TestWriteUndirected:
     def make(self, edges, labels):
         u = np.array([e[0] for e in edges], dtype=np.int64)
@@ -103,6 +166,30 @@ class TestWriteUndirected:
         write_undirected(g, buf)
         back = read_undirected(io.StringIO(buf.getvalue()))
         assert back == [("a", "b", 0.25), ("b", "c", 1.5)]
+
+    def text(self, writer, g, precision=6):
+        buf = io.StringIO()
+        writer(g, buf, precision=precision)
+        return buf.getvalue()
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                              st.floats(0, 1e12)), max_size=20),
+           st.integers(0, 17))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fstring_reference(self, edges, precision):
+        g = self.make(edges, ["a", "b", "é", "节点", "#x"])
+        assert self.text(write_undirected, g, precision) == \
+            self.text(write_undirected_by_fstrings, g, precision)
+
+    def test_more_than_one_slice_matches_reference(self):
+        rng = np.random.default_rng(5)
+        m = 2 * graph._WRITE_CHUNK + 17
+        u = np.sort(rng.integers(0, 300, m))
+        g = UndirectedWeightedGraph(400, [f"n{i}" for i in range(400)], u,
+                                    u + rng.integers(1, 100, m), rng.random(m))
+        for precision in (0, 6, 17):
+            assert self.text(write_undirected, g, precision) == \
+                self.text(write_undirected_by_fstrings, g, precision)
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
                               st.floats(0.001, 100)), max_size=20))

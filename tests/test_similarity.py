@@ -11,7 +11,9 @@ from reachsym import (INF, SimilarityAccumulator, SymmetrizationConfig,
                       bibliometric, degree_discounted, dense_closure,
                       dense_similarity,
                       graph_from_pairs, in_reach_similarity, local_closure,
-                      out_reach_similarity, sparsify_top_t, symmetrize)
+                      out_reach_similarity, pair_hierarchy_discount,
+                      sparsify_top_t, symmetrize)
+from reachsym.similarity import _to_undirected
 
 from conftest import (canonical_pairs, digraphs, random_digraph,
                       sparsify_top_t_by_lexsort)
@@ -240,6 +242,29 @@ class TestSparsifyTopT:
         assert out.u.tolist() == u[mask].tolist()
         assert out.v.tolist() == v[mask].tolist()
         assert out.w.tolist() == w[mask].tolist()
+
+
+class TestNothingDropped:
+    """A step that drops no pair passes the pair arrays on, not copies."""
+
+    def pairs(self):
+        g = random_digraph(np.random.default_rng(3), 12, 0.3)
+        c = local_closure(g, 2)
+        acc = out_reach_similarity(c, cfg()).add(in_reach_similarity(c, cfg()))
+        assert len(acc) > 0
+        return g, acc
+
+    def test_epsilon_zero_shares_arrays(self):
+        g, acc = self.pairs()
+        out = _to_undirected(g, acc, 0.0)
+        for a, b in ((out.u, acc.u), (out.v, acc.v), (out.w, acc.w)):
+            assert np.shares_memory(a, b)
+
+    def test_pair_discount_shares_pairs(self):
+        g, acc = self.pairs()
+        out = pair_hierarchy_discount(acc, auto_hierarchy(g), 1.0)
+        assert len(out) == len(acc)
+        assert np.shares_memory(out.u, acc.u) and np.shares_memory(out.v, acc.v)
 
 
 class TestAccumulatorAdd:
