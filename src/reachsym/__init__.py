@@ -1,13 +1,12 @@
 """Reachability-based symmetrization of directed graphs."""
 
 from .accumulator import SimilarityAccumulator
-from .closure import INF, LocalClosure, bfs_bounded, local_closure
+from .closure import INF, LocalClosure, local_closure
 from .graph import (DirectedGraph, ParseError, UndirectedWeightedGraph,
                     ValidationError, condensation, graph_from_pairs,
-                    load_edge_list, read_undirected, write_undirected)
-from .hierarchy import (HierarchyScores, auto_hierarchy, distance_discount,
-                        load_hierarchy, pair_hierarchy_discount)
-from .oracle import dense_closure, dense_similarity
+                    load_edge_list, write_undirected)
+from .hierarchy import (HierarchyScores, auto_hierarchy, load_hierarchy,
+                        pair_hierarchy_discount)
 from .similarity import (SymmetrizationConfig, bibliometric, degree_discounted,
                          in_reach_similarity, out_reach_similarity,
                          sparsify_top_t, symmetrize)
@@ -23,13 +22,9 @@ __all__ = [
     "UndirectedWeightedGraph",
     "ValidationError",
     "auto_hierarchy",
-    "bfs_bounded",
     "bibliometric",
     "condensation",
     "degree_discounted",
-    "dense_closure",
-    "dense_similarity",
-    "distance_discount",
     "graph_from_pairs",
     "in_reach_similarity",
     "load_edge_list",
@@ -37,7 +32,6 @@ __all__ = [
     "local_closure",
     "out_reach_similarity",
     "pair_hierarchy_discount",
-    "read_undirected",
     "sparsify_top_t",
     "symmetrize",
     "write_undirected",

@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--top-t", type=int, default=None,
                    help="keep only each node's top-t edges (union semantics)")
     s.add_argument("--hub-cap", type=int, default=None,
-                   help="skip common neighbors above this closure degree")
+                   help="reach only: skip common neighbors above this "
+                        "closure degree")
     s.add_argument("--weighted", action="store_true",
                    help="input has a third weight column")
     s.add_argument("--threads", type=int, default=1,
@@ -87,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(t, output=False)
     t.add_argument("--l", default=None, metavar="DEPTH",
                    help="also print closure-degree histograms at this depth")
-    p.set_defaults(threads=1)
     return p
 
 
@@ -139,8 +139,9 @@ def run_symmetrize(args) -> int:
         gamma=args.gamma if args.gamma is not None else 1.0,
         delta=args.delta if args.delta is not None else 1.0,
         hierarchy_mode=mode, epsilon=args.epsilon, top_t=args.top_t,
-        hub_cap=args.hub_cap, threads=args.threads)
-    cfg.validate()
+        hub_cap=args.hub_cap)
+    if args.threads < 1:
+        raise ValidationError("threads must be ≥ 1")
     result = symmetrize(g, cfg, scores)
     _emit(args, lambda f: write_undirected(result, f, precision=args.precision))
     print(f"nodes={g.n} edges={g.edge_count} "

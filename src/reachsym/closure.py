@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,78 +30,22 @@ def _check_depth(l) -> None:
 
 @dataclass
 class LocalClosure:
-    """Bounded reach sets for one depth l, as two boolean CSR matrices."""
+    """Bounded reach sets for one depth l, as two CSR matrices with sorted
+    indices.  They are read only: one may be the graph's own adjacency."""
 
     n: int
     l: float                      # integer depth or math.inf
     out_mat: sp.csr_matrix        # (i, k) set iff k is reachable from i within l
-    in_mat: sp.csr_matrix         # transpose of out_mat, indices sorted
-    d_out_plus: np.ndarray        # |out_reach| per node
-    d_in_plus: np.ndarray         # |in_reach| per node
-
-    def out_csr(self) -> sp.csr_matrix:
-        """The stored boolean out-reach pattern itself, not a copy: read only."""
-        return self.out_mat
-
-    def in_csr(self) -> sp.csr_matrix:
-        """The stored boolean in-reach pattern itself, not a copy: read only."""
-        return self.in_mat
-
-    @cached_property
-    def out_reach(self) -> list[np.ndarray]:
-        """Read-only sorted row views: the nodes each node reaches within l."""
-        return _rows(self.out_mat)
-
-    @cached_property
-    def in_reach(self) -> list[np.ndarray]:
-        """Read-only sorted row views: the nodes that reach each node within l."""
-        return _rows(self.in_mat)
+    in_mat: sp.csr_matrix         # transpose of out_mat
+    d_out_plus: np.ndarray        # out-reach size (weighted: row sum) per node
+    d_in_plus: np.ndarray         # in-reach size (weighted: column sum) per node
 
 
-def _rows(m: sp.csr_matrix) -> list[np.ndarray]:
-    indices = m.indices.view()
-    indices.flags.writeable = False
-    return np.split(indices, m.indptr[1:-1]) if m.shape[0] else []
-
-
-def bfs_bounded(g: DirectedGraph, source: int, l, direction: str = "out"
-                ) -> np.ndarray:
-    """Sorted set of nodes with a directed path of length in [1, l] from
-    (direction="out") or to (direction="in") ``source``.
-
-    The source itself is included only when it lies on a cycle of length <= l.
-    """
-    _check_depth(l)
-    if direction == "out":
-        neigh = g.out_neighbors
-    elif direction == "in":
-        neigh = g.in_neighbors
-    else:
-        raise ValidationError(f"direction must be 'out' or 'in', got {direction!r}")
-    if not (0 <= source < g.n):
-        raise ValidationError(f"source {source} out of range")
-
-    visited: set[int] = set()
-    frontier = [source]
-    depth = 0
-    while frontier and depth < l:
-        nxt = []
-        for u in frontier:
-            for v in neigh(u).tolist():
-                if v not in visited:
-                    visited.add(v)
-                    nxt.append(v)
-        frontier = nxt
-        depth += 1
-    return np.array(sorted(visited), dtype=np.int64)
-
-
-def local_closure(g: DirectedGraph, l, threads: int = 1) -> LocalClosure:
+def local_closure(g: DirectedGraph, l) -> LocalClosure:
     """Local closure by boolean sparse matrix powers.
 
     Runs R <- R + R A from R = A, l - 1 times or until the entry count stops
-    growing, which is how l = inf ends.  ``threads`` is accepted for
-    compatibility and has no effect.
+    growing, which is how l = inf ends.
     """
     _check_depth(l)
     if l == INF and g.n > _LARGE_INF_WARN:
@@ -127,3 +70,18 @@ def local_closure(g: DirectedGraph, l, threads: int = 1) -> LocalClosure:
     return LocalClosure(n=n, l=l, out_mat=reach, in_mat=rev,
                         d_out_plus=np.diff(reach.indptr).astype(np.int64),
                         d_in_plus=np.diff(rev.indptr).astype(np.int64))
+
+
+def weighted_closure(g: DirectedGraph) -> LocalClosure:
+    """Depth-1 closure that keeps the edge weights: the adjacency itself,
+    with weighted out- and in-degrees.  A degree that overflows to inf is
+    rejected, since its discount would turn the node's pair weights to NaN."""
+    with np.errstate(over="ignore"):
+        d_out = np.asarray(g.adj.sum(axis=1)).ravel()
+        d_in = np.asarray(g.adj.sum(axis=0)).ravel()
+    bad = ~(np.isfinite(d_out) & np.isfinite(d_in))
+    if bad.any():
+        raise ValidationError(f"weighted degree of node {g.labels[bad.argmax()]!r} "
+                              "is not finite")
+    return LocalClosure(n=g.n, l=1, out_mat=g.adj, in_mat=g.rev,
+                        d_out_plus=d_out, d_in_plus=d_in)

@@ -2,7 +2,7 @@
 
 Node labels are arbitrary strings interned to dense integer indices in
 first-appearance order.  The graph is immutable after construction and is
-backed by a CSR adjacency matrix, so it is safe to share across workers.
+backed by a CSR adjacency matrix.
 """
 from __future__ import annotations
 
@@ -53,20 +53,6 @@ class DirectedGraph:
             rev.sort_indices()
             object.__setattr__(self, "_rev", rev)
         return self._rev
-
-    def out_neighbors(self, u: int) -> np.ndarray:
-        a = self.adj
-        return a.indices[a.indptr[u]:a.indptr[u + 1]]
-
-    def in_neighbors(self, u: int) -> np.ndarray:
-        r = self.rev
-        return r.indices[r.indptr[u]:r.indptr[u + 1]]
-
-    def reversed(self) -> "DirectedGraph":
-        """Graph with every edge direction flipped (labels preserved)."""
-        return DirectedGraph(self.n, self.labels, self.rev.copy(),
-                             weighted=self.weighted,
-                             self_loops_dropped=self.self_loops_dropped)
 
 
 class CanonicalPairs:
@@ -244,39 +230,21 @@ def write_undirected(g: UndirectedWeightedGraph, stream: IO[str],
         stream.write((line * len(w)) % tuple(items))
 
 
-def read_undirected(stream: Iterable[str]) -> list[tuple[str, str, float]]:
-    """Read back a written undirected edge list as (labelU, labelV, weight)."""
-    out = []
-    for line_no, raw in enumerate(stream, 1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError("expected `u<TAB>v<TAB>weight`", line_no)
-        out.append((parts[0], parts[1], float(parts[2])))
-    return out
-
-
-def condensation(g: DirectedGraph) -> tuple[np.ndarray, list[np.ndarray]]:
+def condensation(g: DirectedGraph) -> tuple[np.ndarray, sp.csr_matrix]:
     """SCC component map and the acyclic condensation DAG.
 
-    Returns (comp, dag_adj): ``comp[u]`` is the SCC id of node u (ids are
-    contiguous), ``dag_adj[c]`` the sorted distinct successor SCCs of c.
+    Returns (comp, dag): ``comp[u]`` is the SCC id of node u (ids are
+    contiguous), and row c of the boolean CSR ``dag`` holds the sorted
+    distinct successor SCCs of c.
     """
     if g.n == 0:
-        return np.empty(0, dtype=np.int64), []
+        return np.empty(0, dtype=np.int64), sp.csr_matrix((0, 0), dtype=bool)
     ncomp, comp = connected_components(g.adj, directed=True, connection="strong")
     coo = g.adj.tocoo()
     cu = comp[coo.row]
     cv = comp[coo.col]
     keep = cu != cv
-    dag_edges = np.unique(np.stack([cu[keep], cv[keep]], axis=1), axis=0) \
-        if keep.any() else np.empty((0, 2), dtype=np.int64)
-    dag_adj: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(ncomp)]
-    if len(dag_edges):
-        starts = np.searchsorted(dag_edges[:, 0], np.arange(ncomp), side="left")
-        ends = np.searchsorted(dag_edges[:, 0], np.arange(ncomp), side="right")
-        for c in range(ncomp):
-            dag_adj[c] = dag_edges[starts[c]:ends[c], 1].copy()
-    return comp.astype(np.int64), dag_adj
+    dag = sp.csr_matrix((np.ones(int(keep.sum()), dtype=bool),
+                         (cu[keep], cv[keep])), shape=(ncomp, ncomp))
+    dag.sum_duplicates()
+    return comp.astype(np.int64), dag

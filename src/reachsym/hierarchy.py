@@ -52,25 +52,24 @@ def auto_hierarchy(g: DirectedGraph) -> HierarchyScores:
     Each SCC gets its longest-path distance from the DAG sources; nodes
     inherit their SCC's depth, normalized by the maximum depth.
     """
-    comp, dag_adj = condensation(g)
-    c = len(dag_adj)
+    comp, dag = condensation(g)
+    c = dag.shape[0]
     if c == 0:
         return HierarchyScores(np.empty(0, dtype=np.float64))
-    indeg = np.zeros(c, dtype=np.int64)
-    for succ in dag_adj:
-        for t in succ.tolist():
-            indeg[t] += 1
-    depth = np.zeros(c, dtype=np.int64)
+    indptr, indices = dag.indptr.tolist(), dag.indices.tolist()
+    indeg = np.bincount(dag.indices, minlength=c).tolist()
+    depth = [0] * c
     queue = [i for i in range(c) if indeg[i] == 0]
     while queue:
         s = queue.pop()
-        for t in dag_adj[s].tolist():
-            if depth[s] + 1 > depth[t]:
-                depth[t] = depth[s] + 1
+        d = depth[s] + 1
+        for t in indices[indptr[s]:indptr[s + 1]]:
+            if d > depth[t]:
+                depth[t] = d
             indeg[t] -= 1
             if indeg[t] == 0:
                 queue.append(t)
-    return HierarchyScores(_normalize(depth[comp].astype(np.float64)))
+    return HierarchyScores(_normalize(np.array(depth, dtype=np.float64)[comp]))
 
 
 def load_hierarchy(stream: Iterable[str], g: DirectedGraph) -> HierarchyScores:
@@ -92,6 +91,8 @@ def load_hierarchy(stream: Iterable[str], g: DirectedGraph) -> HierarchyScores:
             val = float(parts[1])
         except ValueError:
             raise ParseError(f"non-numeric score {parts[1]!r}", line_no) from None
+        if not np.isfinite(val):
+            raise ParseError(f"non-finite score {parts[1]!r}", line_no)
         i = index.get(parts[0])
         if i is None:
             warnings.warn(f"hierarchy file line {line_no}: unknown label "
@@ -115,20 +116,11 @@ def pair_hierarchy_discount(acc: SimilarityAccumulator, h: HierarchyScores,
     return acc.scaled(factors)
 
 
-def distance_discount(i: int, j: int, k: int, h: HierarchyScores,
-                      delta: float) -> float:
-    """Damping factor in (0, 1] for common neighbor k of the pair (i, j)."""
-    if delta < 0:
-        raise ValidationError("delta must be ≥ 0")
-    s = h.score
-    return float(((1.0 + abs(s[i] - s[k])) * (1.0 + abs(s[j] - s[k]))) ** -delta)
-
-
 def neighbor_discount_data(indptr: np.ndarray, indices: np.ndarray,
                            h: HierarchyScores, delta: float) -> np.ndarray:
-    """Vectorized distance_discount halves (1 + |h(i) - h(k)|)^-delta for every
-    (i, k) position of a CSR reach matrix; the product of the i-side and
-    j-side halves equals distance_discount(i, j, k, h, delta)."""
+    """The factor (1 + |h(i) - h(k)|)^-delta for every (i, k) position of a
+    CSR reach matrix.  Common neighbor k of the pair (i, j) is damped by the
+    product of the i-side and j-side factors."""
     rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     s = h.score
     return (1.0 + np.abs(s[rows] - s[indices])) ** -delta

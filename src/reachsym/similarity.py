@@ -5,23 +5,24 @@ reachable successors k, normalized by d_out_plus(i)^alpha * d_out_plus(j)^alpha;
 the in-reach weight mirrors it over common predecessors with alpha and beta
 swapped.  The undirected result is the entrywise sum of the two.  Both are
 evaluated as sparse matrix products over the closure, which performs the same
-per-k summation at C speed while preserving sparsity; first-order baselines
-(bibliometric coupling + co-citation counts, and the degree-discounted variant)
-reuse the same kernel on the raw adjacency so the depth-1 reach output is
-byte-identical to the degree-discounted baseline.
+per-k summation at C speed while preserving sparsity.  The first-order
+baselines are the same kernel over a depth-1 closure: bibliometric coupling
+plus co-citation counts with alpha = beta = 0, and the degree-discounted
+variant over the weighted adjacency, so depth-1 reach output is
+byte-identical to the degree-discounted baseline on unweighted input.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .accumulator import SimilarityAccumulator
-from .closure import INF, LocalClosure, _check_depth, local_closure
+from .closure import LocalClosure, _check_depth, local_closure, weighted_closure
 from .graph import DirectedGraph, UndirectedWeightedGraph, ValidationError
 from .hierarchy import HierarchyScores, neighbor_discount_data, pair_hierarchy_discount
 
@@ -40,8 +41,8 @@ class SymmetrizationConfig:
     hierarchy_mode: str = "none"
     epsilon: float = 0.0             # drop weights <= epsilon
     top_t: Optional[int] = None      # per-node strongest-edge cap
-    hub_cap: Optional[int] = None    # skip common neighbors above this closure degree
-    threads: int = 1
+    hub_cap: Optional[int] = None    # reach only: skip common neighbors above
+                                     # this closure degree
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -55,10 +56,11 @@ class SymmetrizationConfig:
                 raise ValidationError(f"{name} must be finite and ≥ 0")
         if self.top_t is not None and self.top_t < 1:
             raise ValidationError("top_t must be ≥ 1")
-        if self.hub_cap is not None and self.hub_cap < 1:
-            raise ValidationError("hub_cap must be ≥ 1")
-        if self.threads < 1:
-            raise ValidationError("threads must be ≥ 1")
+        if self.hub_cap is not None:
+            if self.method != "reach":
+                raise ValidationError("hub_cap only applies to method 'reach'")
+            if self.hub_cap < 1:
+                raise ValidationError("hub_cap must be ≥ 1")
 
 
 def _degree_discount(deg: np.ndarray, exponent: float,
@@ -123,7 +125,7 @@ def out_reach_similarity(c: LocalClosure, cfg: SymmetrizationConfig,
     """Pair similarity through common reachable successors."""
     if c.l != cfg.l:
         raise ValidationError(f"closure depth {c.l} does not match config depth {cfg.l}")
-    R = c.out_csr()
+    R = c.out_mat
     outer = _degree_discount(c.d_out_plus, cfg.alpha)
     inner = _degree_discount(c.d_in_plus, cfg.beta, cap=cfg.hub_cap)
     disc = None
@@ -139,7 +141,7 @@ def in_reach_similarity(c: LocalClosure, cfg: SymmetrizationConfig,
     out/in degrees swapped relative to out_reach_similarity)."""
     if c.l != cfg.l:
         raise ValidationError(f"closure depth {c.l} does not match config depth {cfg.l}")
-    R = c.in_csr()
+    R = c.in_mat
     outer = _degree_discount(c.d_in_plus, cfg.beta)
     inner = _degree_discount(c.d_out_plus, cfg.alpha, cap=cfg.hub_cap)
     disc = None
@@ -148,32 +150,18 @@ def in_reach_similarity(c: LocalClosure, cfg: SymmetrizationConfig,
     return _co_reach(R, outer, inner, disc)
 
 
-def _first_order_acc(g: DirectedGraph, alpha: float, beta: float,
-                     use_weights: bool) -> SimilarityAccumulator:
-    A = g.adj if use_weights else sp.csr_matrix(
-        (np.ones(g.adj.nnz), g.adj.indices, g.adj.indptr), shape=(g.n, g.n))
-    At = A.T.tocsr()
-    At.sort_indices()
-    d_out = np.asarray(A.sum(axis=1)).ravel()
-    d_in = np.asarray(A.sum(axis=0)).ravel()
-    b = _co_reach(A, _degree_discount(d_out, alpha), _degree_discount(d_in, beta))
-    c = _co_reach(At, _degree_discount(d_in, beta), _degree_discount(d_out, alpha))
-    return b.add(c)
-
-
 def degree_discounted(g: DirectedGraph, alpha: float = 0.5, beta: float = 0.5
                       ) -> UndirectedWeightedGraph:
     """First-order baseline: reach similarity with reach sets replaced by the
     direct successor/predecessor lists.  Edge weights, when present, enter as
     weight products in the numerators and weighted degrees in the discounts."""
-    acc = _first_order_acc(g, alpha, beta, use_weights=True)
-    return _to_undirected(g, acc)
+    return symmetrize(g, SymmetrizationConfig(method="degree-discounted",
+                                              alpha=alpha, beta=beta))
 
 
 def bibliometric(g: DirectedGraph) -> UndirectedWeightedGraph:
     """Unnormalized baseline: |common successors| + |common predecessors|."""
-    acc = _first_order_acc(g, 0.0, 0.0, use_weights=False)
-    return _to_undirected(g, acc)
+    return symmetrize(g, SymmetrizationConfig(method="bibliometric"))
 
 
 def _to_undirected(g: DirectedGraph, acc: SimilarityAccumulator,
@@ -203,16 +191,18 @@ def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
                 "hierarchy scores must cover every node; missing: "
                 + ", ".join(missing))
 
-    if cfg.method == "bibliometric":
-        acc = _first_order_acc(g, 0.0, 0.0, use_weights=False)
-    elif cfg.method == "degree-discounted":
-        acc = _first_order_acc(g, cfg.alpha, cfg.beta, use_weights=True)
+    if cfg.method == "reach":
+        c = local_closure(g, cfg.l)
+    elif cfg.method == "bibliometric":
+        cfg = replace(cfg, l=1, alpha=0.0, beta=0.0)
+        c = local_closure(g, 1)
     else:
-        c = local_closure(g, cfg.l, threads=cfg.threads)
-        hh = h if use_h else None
-        acc = out_reach_similarity(c, cfg, hh).add(in_reach_similarity(c, cfg, hh))
-        if hh is not None:
-            acc = pair_hierarchy_discount(acc, hh, cfg.gamma)
+        cfg = replace(cfg, l=1)
+        c = weighted_closure(g)
+    hh = h if use_h else None
+    acc = out_reach_similarity(c, cfg, hh).add(in_reach_similarity(c, cfg, hh))
+    if hh is not None:
+        acc = pair_hierarchy_discount(acc, hh, cfg.gamma)
 
     out = _to_undirected(g, acc, cfg.epsilon)
     del acc  # frees the pair arrays before top-t unless out shares them

@@ -3,8 +3,10 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from reachsym import (ParseError, SimilarityAccumulator, UndirectedWeightedGraph,
-                      ValidationError, dense_closure, dense_similarity,
-                      graph_from_pairs, pair_hierarchy_discount, sparsify_top_t)
+                      ValidationError, graph_from_pairs, pair_hierarchy_discount,
+                      sparsify_top_t)
+from reachsym.similarity import _co_reach, _degree_discount
+from reference import dense_closure, dense_similarity
 
 
 @st.composite
@@ -156,3 +158,18 @@ def oracle_symmetrize(g, cfg, h=None):
     if cfg.top_t is not None:
         out = sparsify_top_t(out, cfg.top_t)
     return out
+
+
+def first_order_by_adjacency(g, alpha, beta, use_weights):
+    """Reference first-order accumulator: the co-reach kernel run straight on
+    the adjacency (unit entries unless ``use_weights``) and its transpose,
+    with degrees summed from it, outside any closure."""
+    A = g.adj if use_weights else sp.csr_matrix(
+        (np.ones(g.adj.nnz), g.adj.indices, g.adj.indptr), shape=(g.n, g.n))
+    At = A.T.tocsr()
+    At.sort_indices()
+    d_out = np.asarray(A.sum(axis=1)).ravel()
+    d_in = np.asarray(A.sum(axis=0)).ravel()
+    b = _co_reach(A, _degree_discount(d_out, alpha), _degree_discount(d_in, beta))
+    c = _co_reach(At, _degree_discount(d_in, beta), _degree_discount(d_out, alpha))
+    return b.add(c)

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from reachsym import (INF, SymmetrizationConfig, auto_hierarchy, bibliometric,
-                      degree_discounted, dense_closure, dense_similarity,
-                      graph_from_pairs, in_reach_similarity, local_closure,
-                      out_reach_similarity, symmetrize, write_undirected)
+                      degree_discounted, graph_from_pairs, in_reach_similarity,
+                      local_closure, out_reach_similarity, symmetrize,
+                      write_undirected)
 from reachsym.cli import main
 from reachsym.synthetic import powerlaw_digraph
 
 from conftest import random_digraph, reach_by_matrix_powers
+from reference import dense_closure, dense_similarity, reach_rows
 
 
 class _report:
@@ -149,8 +150,9 @@ def test_hierarchy_monotonicity():
 
             # neighbor level: move a common successor k0 away from both
             # endpoints; only its own contribution changes
-            cand = [(i, int(c.in_reach[i][0]), int(c.in_reach[i][1]))
-                    for i in range(n) if len(c.in_reach[i]) >= 2]
+            cand = [(i, int(reach_rows(c.in_mat)[i][0]),
+                     int(reach_rows(c.in_mat)[i][1]))
+                    for i in range(n) if len(reach_rows(c.in_mat)[i]) >= 2]
             if not cand:
                 continue
             k0, i, j = cand[int(rng.integers(len(cand)))]
@@ -227,5 +229,5 @@ def test_reachability_cross_validation():
                 want = reach_by_matrix_powers(g, l)
                 c = local_closure(g, l)
                 for i in range(n):
-                    assert c.out_reach[i].tolist() == \
+                    assert reach_rows(c.out_mat)[i].tolist() == \
                         np.flatnonzero(want[i]).tolist()

@@ -250,6 +250,33 @@ class TestRejectedInputs:
         assert capsys.readouterr().out == want != ""
 
 
+    @pytest.mark.parametrize("method", ["degree-discounted", "bibliometric"])
+    def test_hub_cap_rejected_for_first_order(self, tmp_path, capsys, method):
+        inp = write(tmp_path / "g.tsv", "u\tw\nv\tw\nx\tu\nx\tv\n")
+        assert main(["symmetrize", "--method", method, "--hub-cap", "1",
+                     "-i", inp]) == 1
+        assert "hub_cap" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_hierarchy_score(self, tmp_path, capsys, score):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        hf = write(tmp_path / "h.tsv", f"u\t0\nv\t{score}\nw\t1\n")
+        assert main(["symmetrize", "--hierarchy", f"file:{hf}", "-i", inp]) == 3
+        assert assert_one_error_line(capsys) == \
+            f"error: line 2: non-finite score '{score}'"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, node", [
+        ("a\tb\t1e308\na\tb\t1e308\nc\tb\t1\na\td\t1\n", "a"),
+        ("a\tc\t1e308\nb\tc\t1e308\n", "c"),
+    ])
+    def test_overflowing_weighted_degree(self, tmp_path, capsys, text, node):
+        inp = write(tmp_path / "g.tsv", text)
+        assert main(["symmetrize", "--method", "degree-discounted", "--weighted",
+                     "-i", inp]) == 1
+        assert f"node '{node}'" in assert_one_error_line(capsys)
+
+
 class TestOutputFile:
     def run(self, tmp_path, dst):
         inp = write(tmp_path / "g.tsv", TWO_SOURCES)

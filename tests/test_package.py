@@ -1,0 +1,32 @@
+import importlib
+import inspect
+
+import pytest
+
+import reachsym
+
+# Test-only references, now in tests/reference.py.
+MOVED = ["bfs_bounded", "dense_closure", "dense_similarity", "distance_discount",
+         "read_undirected"]
+
+
+def test_every_exported_name_resolves():
+    for name in reachsym.__all__:
+        assert getattr(reachsym, name) is not None, name
+
+
+def test_test_only_code_is_not_in_the_package():
+    for name in MOVED:
+        assert name not in reachsym.__all__
+        assert not hasattr(reachsym, name)
+    with pytest.raises(ImportError):
+        importlib.import_module("reachsym.oracle")
+    for attr in ("out_neighbors", "in_neighbors", "reversed"):
+        assert not hasattr(reachsym.DirectedGraph, attr)
+    for attr in ("out_reach", "in_reach", "out_csr", "in_csr"):
+        assert not hasattr(reachsym.LocalClosure, attr)
+
+
+def test_no_threads_knob_in_the_library():
+    assert "threads" not in reachsym.SymmetrizationConfig.__dataclass_fields__
+    assert "threads" not in inspect.signature(reachsym.local_closure).parameters

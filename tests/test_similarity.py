@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from reachsym import (INF, SimilarityAccumulator, SymmetrizationConfig,
                       UndirectedWeightedGraph, ValidationError, auto_hierarchy,
-                      bibliometric, degree_discounted, dense_closure,
-                      dense_similarity,
-                      graph_from_pairs, in_reach_similarity, local_closure,
-                      out_reach_similarity, pair_hierarchy_discount,
-                      sparsify_top_t, symmetrize)
+                      bibliometric, degree_discounted, graph_from_pairs,
+                      in_reach_similarity, local_closure, out_reach_similarity,
+                      pair_hierarchy_discount, sparsify_top_t, symmetrize)
 from reachsym.similarity import _to_undirected
 
-from conftest import (canonical_pairs, digraphs, random_digraph,
-                      sparsify_top_t_by_lexsort)
+from conftest import (canonical_pairs, digraphs, first_order_by_adjacency,
+                      random_digraph, sparsify_top_t_by_lexsort)
+from reference import (dense_closure, dense_similarity, out_neighbors,
+                       reversed_graph)
 
 INV_SQRT2 = 0.7071067811865476  # 1 / 2**0.5
 
@@ -74,7 +74,7 @@ class TestInReachSimilarity:
         c = cfg(l=l, alpha=0.3, beta=0.8)
         swapped = cfg(l=l, alpha=0.8, beta=0.3)
         fwd = in_reach_similarity(local_closure(g, l), c)
-        rev = out_reach_similarity(local_closure(g.reversed(), l), swapped)
+        rev = out_reach_similarity(local_closure(reversed_graph(g), l), swapped)
         assert np.allclose(fwd.to_dense(), rev.to_dense(), atol=1e-12)
 
     def test_empty_graph(self):
@@ -133,7 +133,7 @@ class TestSymmetrize:
         rnd.shuffle(perm)
         relabeled = graph_from_pairs(
             [(perm[u], perm[int(v)]) for u in range(g.n)
-             for v in g.out_neighbors(u)], n=g.n)
+             for v in out_neighbors(g, u)], n=g.n)
         a = symmetrize(g, cfg(l=2)).to_dense()
         b = symmetrize(relabeled, cfg(l=2)).to_dense()
         p = np.array(perm, dtype=np.int64)
@@ -173,6 +173,52 @@ class TestDegreeDiscounted:
     def test_single_edge_empty(self):
         g = graph_from_pairs([(0, 1)], n=2)
         assert degree_discounted(g).edge_count == 0
+
+
+@st.composite
+def weighted_digraphs(draw, max_n=10, max_edges=30):
+    n = draw(st.integers(1, max_n))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.floats(1e-3, 1e3)),
+        max_size=max_edges))
+    return graph_from_pairs([e[:2] for e in edges], n=n,
+                            weights=[e[2] for e in edges])
+
+
+class TestFirstOrderThroughReachKernel:
+    @given(st.one_of(digraphs(), weighted_digraphs()),
+           st.sampled_from(["degree-discounted", "bibliometric"]),
+           st.floats(0, 2), st.floats(0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_adjacency_reference(self, g, method, alpha, beta):
+        out = symmetrize(g, cfg(method=method, alpha=alpha, beta=beta))
+        if method == "bibliometric":
+            ref = first_order_by_adjacency(g, 0.0, 0.0, use_weights=False)
+        else:
+            ref = first_order_by_adjacency(g, alpha, beta, use_weights=True)
+        keep = ref.w > 0
+        assert out.u.tolist() == ref.u[keep].tolist()
+        assert out.v.tolist() == ref.v[keep].tolist()
+        assert out.w.tolist() == ref.w[keep].tolist()
+
+    @pytest.mark.parametrize("method", ["degree-discounted", "bibliometric"])
+    def test_hub_cap_rejected(self, method):
+        g = graph_from_pairs([(0, 2), (1, 2), (3, 0), (3, 1)], n=4)
+        with pytest.raises(ValidationError, match="hub_cap"):
+            symmetrize(g, cfg(method=method, hub_cap=1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edges, weights, node", [
+        # a summed edge weight overflows: node 0's out-degree
+        ([(0, 1), (0, 1), (2, 1), (0, 3)], [1e308, 1e308, 1.0, 1.0], "0"),
+        # two finite weights into one node: node 2's in-degree
+        ([(0, 2), (1, 2)], [1e308, 1e308], "2"),
+    ])
+    def test_overflowing_weighted_degree_rejected(self, edges, weights, node):
+        g = graph_from_pairs(edges, weights=weights)
+        with pytest.raises(ValidationError, match=f"node '{node}'"):
+            degree_discounted(g)
 
 
 class TestBibliometric:
