@@ -8,6 +8,7 @@ successors/predecessors far from both endpoints.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
@@ -43,7 +44,10 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     if hi == lo:
         # No hierarchy signal: all-zero scores make both discounts identity.
         return np.zeros(len(raw))
-    return (raw - lo) / (hi - lo)
+    if math.isfinite(float(hi) - float(lo)):
+        return (raw - lo) / (hi - lo)
+    half = raw / 2  # the range overflows a double; half of it cannot
+    return (half - lo / 2) / (hi / 2 - lo / 2)
 
 
 def auto_hierarchy(g: DirectedGraph) -> HierarchyScores:
@@ -98,6 +102,8 @@ def load_hierarchy(stream: Iterable[str], g: DirectedGraph) -> HierarchyScores:
             warnings.warn(f"hierarchy file line {line_no}: unknown label "
                           f"{parts[0]!r} ignored", stacklevel=2)
             continue
+        if not np.isnan(raw[i]):
+            raise ParseError(f"duplicate score for label {parts[0]!r}", line_no)
         raw[i] = val
     missing = [g.labels[i] for i in np.flatnonzero(np.isnan(raw))]
     if missing:

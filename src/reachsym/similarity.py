@@ -80,7 +80,24 @@ def _degree_discount(deg: np.ndarray, exponent: float,
     return out
 
 
-_CO_REACH_BLOCK = 4096
+def _row_blocks(R: sp.csr_matrix) -> np.ndarray:
+    """Row-block bounds for _co_reach, cut at equal cumulative product work.
+
+    A row's work is the flop count of its product row: the summed column
+    counts of its entries.  About sqrt(work / (0.4 nnz)) blocks balance the
+    lower triangle that each extra block skips against the O(nnz) transpose
+    it costs; on small inputs a block's fixed cost of scipy calls, about
+    2^15 flops' worth, takes the place of the transpose.  A row heavier
+    than one block's share gets a block to itself.
+    """
+    n = R.shape[0]
+    cols = np.bincount(R.indices, minlength=R.shape[1])
+    cum = np.r_[0, np.cumsum(cols[R.indices])][R.indptr]  # work of rows < i
+    k = max(1, round(math.sqrt(cum[-1] / max(0.4 * R.nnz, 2 ** 15))))
+    step = cum[-1] / k
+    heavy = np.flatnonzero(np.diff(cum) > step)
+    cuts = np.searchsorted(cum, step * np.arange(1, k))
+    return np.unique(np.r_[0, cuts, heavy, heavy + 1, n])
 
 
 def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
@@ -88,8 +105,10 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
     """Canonical pairs of P = diag(outer) Rd diag(inner) Rd^T diag(outer),
     where Rd is R with optional per-entry discount factors multiplied in.
 
-    The product is evaluated in row blocks and only the strict upper
-    triangle is kept, so the full symmetric matrix never materializes.
+    P is symmetric, so row block [r0, r1) (from _row_blocks) is multiplied
+    only against rows r0: of the right factor and its strict upper triangle
+    kept.  Every entry still sums its terms in full-row order, so the
+    weights are bit-identical to those of a full product.
     """
     n = R.shape[0]
     rows = np.repeat(np.arange(n), np.diff(R.indptr))
@@ -98,18 +117,17 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
         base = base * disc
     left = sp.csr_matrix((base * inner[R.indices], R.indices, R.indptr),
                          shape=R.shape)
-    right_t = sp.csr_matrix((base, R.indices, R.indptr), shape=R.shape).T.tocsr()
+    right = sp.csr_matrix((base, R.indices, R.indptr), shape=R.shape)
 
     us, vs, ws = [], [], []
-    for r0 in range(0, n, _CO_REACH_BLOCK):
-        r1 = min(r0 + _CO_REACH_BLOCK, n)
-        prod = left[r0:r1] @ right_t
+    bounds = _row_blocks(R)
+    for r0, r1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        prod = left[r0:r1] @ right[r0:].T.tocsr()
         prod.sort_indices()
         block = prod.tocoo()
-        row = block.row.astype(np.int64) + r0
-        keep = (block.col > row) & (block.data != 0.0)
-        us.append(row[keep])
-        vs.append(block.col[keep].astype(np.int64))
+        keep = (block.col > block.row) & (block.data != 0.0)
+        us.append(block.row[keep].astype(np.int64) + r0)
+        vs.append(block.col[keep].astype(np.int64) + r0)
         ws.append(block.data[keep])
     if not us:
         return SimilarityAccumulator.empty(n)

@@ -266,6 +266,23 @@ class TestRejectedInputs:
             f"error: line 2: non-finite score '{score}'"
 
     @pytest.mark.filterwarnings("error")
+    def test_hierarchy_score_range_overflowing_a_double(self, tmp_path, capsys):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        huge = write(tmp_path / "huge.tsv", "u\t-1e308\nv\t0\nw\t1e308\n")
+        small = write(tmp_path / "small.tsv", "u\t0\nv\t1\nw\t2\n")
+        assert main(["symmetrize", "--hierarchy", f"file:{huge}", "-i", inp]) == 0
+        got = capsys.readouterr().out
+        assert main(["symmetrize", "--hierarchy", f"file:{small}", "-i", inp]) == 0
+        assert got == capsys.readouterr().out != ""
+
+    def test_duplicate_hierarchy_label(self, tmp_path, capsys):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        hf = write(tmp_path / "h.tsv", "u\t1\nv\t2\nw\t3\nu\t9\n")
+        assert main(["symmetrize", "--hierarchy", f"file:{hf}", "-i", inp]) == 3
+        assert assert_one_error_line(capsys) == \
+            "error: line 4: duplicate score for label 'u'"
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text, node", [
         ("a\tb\t1e308\na\tb\t1e308\nc\tb\t1\na\td\t1\n", "a"),
         ("a\tc\t1e308\nb\tc\t1e308\n", "c"),

@@ -91,6 +91,19 @@ class TestLoadHierarchy:
                            self.graph())
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_range_overflowing_a_double(self):
+        h = load_hierarchy(io.StringIO("a\t-1e308\nb\t0\nc\t1e308"),
+                           self.graph())
+        assert h.score.tolist() == [0.0, 0.5, 1.0]
+
+    def test_duplicate_label_rejected(self):
+        with pytest.raises(ParseError,
+                           match="line 4: duplicate score for label 'a'"):
+            load_hierarchy(io.StringIO("a\t1\nb\t2\nc\t3\na\t9"),
+                           self.graph())
+
+
 def acc_one_pair(n, u, v, w):
     return SimilarityAccumulator(n, np.array([u]), np.array([v]),
                                  np.array([float(w)]))

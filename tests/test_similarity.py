@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +12,14 @@ from reachsym import (INF, SimilarityAccumulator, SymmetrizationConfig,
                       bibliometric, degree_discounted, graph_from_pairs,
                       in_reach_similarity, local_closure, out_reach_similarity,
                       pair_hierarchy_discount, sparsify_top_t, symmetrize)
-from reachsym.similarity import _to_undirected
+from reachsym import similarity
+from reachsym.hierarchy import neighbor_discount_data
+from reachsym.similarity import _co_reach, _degree_discount, _row_blocks, _to_undirected
+from reachsym.synthetic import powerlaw_digraph
 
-from conftest import (canonical_pairs, digraphs, first_order_by_adjacency,
-                      random_digraph, sparsify_top_t_by_lexsort)
+from conftest import (canonical_pairs, co_reach_full_rows, digraphs,
+                      first_order_by_adjacency, random_digraph,
+                      sparsify_top_t_by_lexsort)
 from reference import (dense_closure, dense_similarity, out_neighbors,
                        reversed_graph)
 
@@ -348,3 +353,103 @@ class TestOracleAgreement:
         g = random_digraph(rng, 25, 0.15)
         d = symmetrize(g, cfg(l=2)).to_dense()
         assert (d == d.T).all()
+
+
+@st.composite
+def hub_digraphs(draw, max_n=40, max_edges=60):
+    """Random digraph plus one hub joined to every other node, each link
+    outgoing, incoming or both."""
+    n = draw(st.integers(2, max_n))
+    hub = draw(st.integers(0, n - 1))
+    others = [x for x in range(n) if x != hub]
+    links = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n - 1,
+                          max_size=n - 1))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=max_edges))
+    edges += [(hub, x) for x, d in zip(others, links) if d & 1]
+    edges += [(x, hub) for x, d in zip(others, links) if d & 2]
+    return graph_from_pairs(edges, n=n)
+
+
+def one_row_blocks(R):
+    return np.arange(R.shape[0] + 1)
+
+
+def assert_bit_equal(got, ref):
+    assert got.u.dtype == got.v.dtype == np.int64
+    assert got.u.tobytes() == ref.u.tobytes()
+    assert got.v.tobytes() == ref.v.tobytes()
+    assert got.w.tobytes() == ref.w.tobytes()
+
+
+class TestCoReachUpperTriangle:
+    @pytest.mark.parametrize("blocks", [_row_blocks, one_row_blocks])
+    @given(st.one_of(digraphs(max_n=40, max_edges=120), hub_digraphs()),
+           st.sampled_from([1, 2, 3, INF]), st.booleans(),
+           st.floats(0, 2), st.floats(0, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_to_full_rows(self, blocks, g, l, hier, alpha, beta):
+        c = local_closure(g, l)
+        h = auto_hierarchy(g) if hier else None
+        with mock.patch.object(similarity, "_row_blocks", blocks):
+            for R, d_outer, d_inner in ((c.out_mat, c.d_out_plus, c.d_in_plus),
+                                        (c.in_mat, c.d_in_plus, c.d_out_plus)):
+                outer = _degree_discount(d_outer, alpha)
+                inner = _degree_discount(d_inner, beta)
+                disc = (None if h is None else
+                        neighbor_discount_data(R.indptr, R.indices, h, 1.0))
+                assert_bit_equal(_co_reach(R, outer, inner, disc),
+                                 co_reach_full_rows(R, outer, inner, disc))
+
+
+    @pytest.mark.parametrize("n, m, exponent, l", [
+        (3000, 6000, 0.45, 2), (3000, 6000, 0.0, 3), (2000, 4000, 0.9, 2)])
+    def test_bit_equal_over_several_shipped_blocks(self, n, m, exponent, l):
+        g = powerlaw_digraph(n, m, exponent, seed=n + m)
+        c = local_closure(g, l)
+        disc = neighbor_discount_data(c.out_mat.indptr, c.out_mat.indices,
+                                      auto_hierarchy(g), 0.5)
+        outer = _degree_discount(c.d_out_plus, 0.5)
+        inner = _degree_discount(c.d_in_plus, 0.5)
+        assert len(_row_blocks(c.out_mat)) > 3
+        for d in (None, disc):
+            assert_bit_equal(_co_reach(c.out_mat, outer, inner, d),
+                             co_reach_full_rows(c.out_mat, outer, inner, d))
+
+
+class TestRowBlocks:
+    def test_no_rows_no_block(self):
+        R = sp.csr_matrix((0, 0))
+        assert _row_blocks(R).tolist() == [0]
+        acc = _co_reach(R, np.ones(0), np.ones(0))
+        assert acc.n == 0 and len(acc) == 0
+
+    def test_all_rows_empty(self):
+        R = sp.csr_matrix((5, 5))
+        assert len(_co_reach(R, np.ones(5), np.ones(5))) == 0
+
+    def test_hub_row_gets_its_own_block(self):
+        # Row 40 000 holds every column, rows below 20 000 only their own.
+        # The hub's work (80 000 flops) is over half the total (120 000),
+        # which is more than a block's share.
+        n, hub, r = 60_000, 40_000, 20_000
+        rows = np.r_[np.arange(r), np.full(n, hub)]
+        cols = np.r_[np.arange(r), np.arange(n)]
+        R = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        bounds = _row_blocks(R).tolist()
+        assert len(bounds) > 2
+        i = bounds.index(hub)
+        assert bounds[i + 1] == hub + 1
+        assert_bit_equal(_co_reach(R, np.ones(n), np.ones(n)),
+                         co_reach_full_rows(R, np.ones(n), np.ones(n)))
+
+    @given(st.one_of(digraphs(max_n=40, max_edges=200), hub_digraphs()),
+           st.sampled_from([1, 2, INF]))
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_cover_rows_strictly_increasing(self, g, l):
+        c = local_closure(g, l)
+        for R in (c.out_mat, c.in_mat):
+            bounds = _row_blocks(R)
+            assert bounds[0] == 0 and bounds[-1] == g.n
+            assert (np.diff(bounds) > 0).all()
