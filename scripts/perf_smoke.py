@@ -29,7 +29,7 @@ def main():
     result = symmetrize(g, SymmetrizationConfig(l=args.l))
     t2 = time.perf_counter()
     with open(args.output, "w") as fh:
-        write_undirected(result, fh)
+        write_undirected(result, g.labels, fh)
     t3 = time.perf_counter()
 
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 ** 2

@@ -2,9 +2,8 @@
 
 from .accumulator import SimilarityAccumulator
 from .closure import INF, LocalClosure, local_closure
-from .graph import (DirectedGraph, ParseError, UndirectedWeightedGraph,
-                    ValidationError, condensation, graph_from_pairs,
-                    load_edge_list, write_undirected)
+from .graph import (DirectedGraph, ParseError, ValidationError, condensation,
+                    graph_from_pairs, load_edge_list, write_undirected)
 from .hierarchy import (HierarchyScores, auto_hierarchy, load_hierarchy,
                         pair_hierarchy_discount)
 from .similarity import (SymmetrizationConfig, bibliometric, degree_discounted,
@@ -19,7 +18,6 @@ __all__ = [
     "ParseError",
     "SimilarityAccumulator",
     "SymmetrizationConfig",
-    "UndirectedWeightedGraph",
     "ValidationError",
     "auto_hierarchy",
     "bibliometric",

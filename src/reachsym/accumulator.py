@@ -1,4 +1,4 @@
-"""Sparse symmetric similarity accumulator over canonical node pairs."""
+"""The weighted undirected pair set: canonical node pairs and their weights."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,16 +6,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import CanonicalPairs
-
 
 @dataclass
-class SimilarityAccumulator(CanonicalPairs):
-    """Map from canonical pairs (u < v) to accumulated weight.
+class SimilarityAccumulator:
+    """Map from canonical pairs (u < v) of ``n`` nodes to their weight.
 
     Stored as parallel arrays sorted lexicographically by (u, v); weights are
     nonnegative and exact zeros are absent.  Backed by upper-triangular sparse
-    matrices so pair volumes in the millions stay cheap.
+    matrices so pair volumes in the millions stay cheap.  Node labels stay
+    with the ``DirectedGraph`` the pairs came from.
     """
 
     n: int
@@ -28,20 +27,40 @@ class SimilarityAccumulator(CanonicalPairs):
         z = np.empty(0, dtype=np.int64)
         return cls(n, z, z.copy(), np.empty(0, dtype=np.float64))
 
-    @classmethod
-    def from_matrix(cls, mat: sp.spmatrix, n: int) -> "SimilarityAccumulator":
-        """Build from any sparse matrix; strictly-upper entries are taken as
-        the canonical pairs and explicit zeros dropped."""
-        coo = sp.triu(mat, k=1).tocoo()
-        keep = coo.data != 0.0
-        u = coo.row[keep].astype(np.int64)
-        v = coo.col[keep].astype(np.int64)
-        w = coo.data[keep].astype(np.float64)
-        order = np.lexsort((v, u))
-        return cls(n, u[order], v[order], w[order])
-
     def __len__(self) -> int:
         return len(self.w)
+
+    @property
+    def edges(self) -> list[tuple[int, int, float]]:
+        return [(int(a), int(b), float(c)) for a, b, c in zip(self.u, self.v, self.w)]
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.w)
+
+    def get(self, a: int, b: int, default: float = 0.0) -> float:
+        """Weight of the unordered pair (a, b), ``default`` if absent."""
+        if a == b:
+            return default
+        if a > b:
+            a, b = b, a
+        lo = np.searchsorted(self.u, a, side="left")
+        hi = np.searchsorted(self.u, a, side="right")
+        k = lo + np.searchsorted(self.v[lo:hi], b, side="left")
+        if k < hi and self.v[k] == b:
+            return float(self.w[k])
+        return default
+
+    def weight(self, a: int, b: int) -> float:
+        """Weight of the unordered pair (a, b), 0.0 if absent."""
+        return self.get(a, b)
+
+    def to_dense(self) -> np.ndarray:
+        """Symmetric dense weight matrix (tests and small graphs only)."""
+        m = np.zeros((self.n, self.n))
+        m[self.u, self.v] = self.w
+        m[self.v, self.u] = self.w
+        return m
 
     def to_matrix(self) -> sp.csr_matrix:
         """Strictly upper-triangular CSR view of the pair weights, built
@@ -61,11 +80,10 @@ class SimilarityAccumulator(CanonicalPairs):
         return SimilarityAccumulator(self.n, u, total.indices.astype(np.int64),
                                      total.data)
 
-    def scaled(self, factors: np.ndarray) -> "SimilarityAccumulator":
-        """New accumulator with per-pair weights multiplied by ``factors``;
-        it shares ``u`` and ``v`` with this one when no weight becomes 0."""
-        w = self.w * factors
-        keep = w != 0.0
+    def select(self, keep: np.ndarray) -> "SimilarityAccumulator":
+        """The pairs where the boolean mask ``keep`` is true.  When it keeps
+        them all this is ``self``, so no pair array is copied."""
         if keep.all():
-            return SimilarityAccumulator(self.n, self.u, self.v, w)
-        return SimilarityAccumulator(self.n, self.u[keep], self.v[keep], w[keep])
+            return self
+        return SimilarityAccumulator(self.n, self.u[keep], self.v[keep],
+                                     self.w[keep])

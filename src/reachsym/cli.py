@@ -143,7 +143,8 @@ def run_symmetrize(args) -> int:
     if args.threads < 1:
         raise ValidationError("threads must be ≥ 1")
     result = symmetrize(g, cfg, scores)
-    _emit(args, lambda f: write_undirected(result, f, precision=args.precision))
+    _emit(args, lambda f: write_undirected(result, g.labels, f,
+                                           precision=args.precision))
     print(f"nodes={g.n} edges={g.edge_count} "
           f"undirected_edges={result.edge_count} "
           f"self_loops_dropped={g.self_loops_dropped} "
@@ -227,6 +228,8 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # Stdout carries the same UTF-8 bytes as -o, whatever the locale says.
+    sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

@@ -14,6 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from .accumulator import SimilarityAccumulator
+
 
 class ValidationError(ValueError):
     """Input or configuration violates a documented contract."""
@@ -53,54 +55,6 @@ class DirectedGraph:
             rev.sort_indices()
             object.__setattr__(self, "_rev", rev)
         return self._rev
-
-
-class CanonicalPairs:
-    """Lookups shared by the pair types: ``n`` nodes and parallel arrays
-    ``u < v``, sorted by (u, v), with weights ``w``."""
-
-    def get(self, a: int, b: int, default: float = 0.0) -> float:
-        """Weight of the unordered pair (a, b), ``default`` if absent."""
-        if a == b:
-            return default
-        if a > b:
-            a, b = b, a
-        lo = np.searchsorted(self.u, a, side="left")
-        hi = np.searchsorted(self.u, a, side="right")
-        k = lo + np.searchsorted(self.v[lo:hi], b, side="left")
-        if k < hi and self.v[k] == b:
-            return float(self.w[k])
-        return default
-
-    def to_dense(self) -> np.ndarray:
-        """Symmetric dense weight matrix (tests and small graphs only)."""
-        m = np.zeros((self.n, self.n))
-        m[self.u, self.v] = self.w
-        m[self.v, self.u] = self.w
-        return m
-
-
-@dataclass
-class UndirectedWeightedGraph(CanonicalPairs):
-    """Canonical undirected weighted edge set: u < v, sorted by (u, v), w > 0."""
-
-    n: int
-    labels: list[str]
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-
-    @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        return [(int(a), int(b), float(c)) for a, b, c in zip(self.u, self.v, self.w)]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.w)
-
-    def weight(self, a: int, b: int) -> float:
-        """Weight of the unordered pair (a, b), 0.0 if absent."""
-        return self.get(a, b)
 
 
 def _build_graph(labels: list[str], u: np.ndarray, v: np.ndarray,
@@ -213,19 +167,20 @@ def graph_from_pairs(pairs, n: int | None = None, weights=None) -> DirectedGraph
 _WRITE_CHUNK = 8_192
 
 
-def write_undirected(g: UndirectedWeightedGraph, stream: IO[str],
-                     precision: int = 6) -> None:
-    """Emit ``labelU<TAB>labelV<TAB>weight`` lines in canonical (u, v) order.
+def write_undirected(pairs: SimilarityAccumulator, labels: list[str],
+                     stream: IO[str], precision: int = 6) -> None:
+    """Emit ``labelU<TAB>labelV<TAB>weight`` lines in canonical (u, v) order,
+    where ``labels`` names the pairs' nodes.
 
     Output is byte-identical across runs and worker counts for equal inputs.
     """
-    labels = np.array(g.labels, dtype=object)
+    labels = np.array(labels, dtype=object)
     line = f"%s\t%s\t%.{precision}f\n"
-    for s in range(0, len(g.w), _WRITE_CHUNK):
-        w = g.w[s:s + _WRITE_CHUNK].tolist()
+    for s in range(0, len(pairs.w), _WRITE_CHUNK):
+        w = pairs.w[s:s + _WRITE_CHUNK].tolist()
         items = [None] * (3 * len(w))
-        items[0::3] = labels[g.u[s:s + _WRITE_CHUNK]].tolist()
-        items[1::3] = labels[g.v[s:s + _WRITE_CHUNK]].tolist()
+        items[0::3] = labels[pairs.u[s:s + _WRITE_CHUNK]].tolist()
+        items[1::3] = labels[pairs.v[s:s + _WRITE_CHUNK]].tolist()
         items[2::3] = w
         stream.write((line * len(w)) % tuple(items))
 

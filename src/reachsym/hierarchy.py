@@ -119,7 +119,8 @@ def pair_hierarchy_discount(acc: SimilarityAccumulator, h: HierarchyScores,
         raise ValidationError("gamma must be ≥ 0")
     s = h.score
     factors = (1.0 + np.abs(s[acc.u] - s[acc.v])) ** -gamma
-    return acc.scaled(factors)
+    w = acc.w * factors
+    return SimilarityAccumulator(acc.n, acc.u, acc.v, w).select(w != 0.0)
 
 
 def neighbor_discount_data(indptr: np.ndarray, indices: np.ndarray,

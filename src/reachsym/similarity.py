@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .accumulator import SimilarityAccumulator
 from .closure import LocalClosure, _check_depth, local_closure, weighted_closure
-from .graph import DirectedGraph, UndirectedWeightedGraph, ValidationError
+from .graph import DirectedGraph, ValidationError
 from .hierarchy import HierarchyScores, neighbor_discount_data, pair_hierarchy_discount
 
 METHODS = ("reach", "degree-discounted", "bibliometric")
@@ -169,7 +169,7 @@ def in_reach_similarity(c: LocalClosure, cfg: SymmetrizationConfig,
 
 
 def degree_discounted(g: DirectedGraph, alpha: float = 0.5, beta: float = 0.5
-                      ) -> UndirectedWeightedGraph:
+                      ) -> SimilarityAccumulator:
     """First-order baseline: reach similarity with reach sets replaced by the
     direct successor/predecessor lists.  Edge weights, when present, enter as
     weight products in the numerators and weighted degrees in the discounts."""
@@ -177,22 +177,13 @@ def degree_discounted(g: DirectedGraph, alpha: float = 0.5, beta: float = 0.5
                                               alpha=alpha, beta=beta))
 
 
-def bibliometric(g: DirectedGraph) -> UndirectedWeightedGraph:
+def bibliometric(g: DirectedGraph) -> SimilarityAccumulator:
     """Unnormalized baseline: |common successors| + |common predecessors|."""
     return symmetrize(g, SymmetrizationConfig(method="bibliometric"))
 
 
-def _to_undirected(g: DirectedGraph, acc: SimilarityAccumulator,
-                   epsilon: float = 0.0) -> UndirectedWeightedGraph:
-    u, v, w = acc.u, acc.v, acc.w
-    keep = w > epsilon
-    if not keep.all():
-        u, v, w = u[keep], v[keep], w[keep]
-    return UndirectedWeightedGraph(g.n, g.labels, u, v, w)
-
-
 def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
-               h: Optional[HierarchyScores] = None) -> UndirectedWeightedGraph:
+               h: Optional[HierarchyScores] = None) -> SimilarityAccumulator:
     """Full pipeline: similarity accumulation, optional hierarchy discounts,
     epsilon thresholding, optional top-t sparsification."""
     cfg.validate()
@@ -218,37 +209,44 @@ def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
         cfg = replace(cfg, l=1)
         c = weighted_closure(g)
     hh = h if use_h else None
-    acc = out_reach_similarity(c, cfg, hh).add(in_reach_similarity(c, cfg, hh))
+    # Extreme edge weights can overflow a discount (inf) or meet one (inf * 0
+    # is NaN); the pair that gets such a weight is reported below instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = out_reach_similarity(c, cfg, hh).add(in_reach_similarity(c, cfg, hh))
     if hh is not None:
         acc = pair_hierarchy_discount(acc, hh, cfg.gamma)
 
-    out = _to_undirected(g, acc, cfg.epsilon)
-    del acc  # frees the pair arrays before top-t unless out shares them
+    # Checked before epsilon, whose `w > epsilon` would drop a NaN silently.
+    if not np.isfinite(acc.w).all():
+        k = np.isfinite(acc.w).argmin()  # the first non-finite pair
+        a, b = g.labels[acc.u[k]], g.labels[acc.v[k]]
+        raise ValidationError(f"weight of pair ({a!r}, {b!r}) is not finite")
+    acc = acc.select(acc.w > cfg.epsilon)
     if cfg.top_t is not None:
-        out = sparsify_top_t(out, cfg.top_t)
-    return out
+        acc = sparsify_top_t(acc, cfg.top_t)
+    return acc
 
 
-def sparsify_top_t(g: UndirectedWeightedGraph, t: int) -> UndirectedWeightedGraph:
+def sparsify_top_t(pairs: SimilarityAccumulator, t: int) -> SimilarityAccumulator:
     """Keep each edge iff it ranks in the top t by weight for either endpoint
     (union semantics); ties broken toward the smaller partner index."""
     if t < 1:
         raise ValidationError("top_t must be ≥ 1")
-    m = len(g.w)
+    m = len(pairs.w)
     if m == 0:
-        return g
+        return pairs
     # Symmetric adjacency U + U^T holding edge id + 1 (the sum would drop an
     # explicit 0); the halves never overlap.  The ids take the narrowest
     # dtype that holds m: U + U^T is this step's memory peak.  The tie rule
     # needs partners ascending within each row.
     ids = np.arange(1, m + 1, dtype=np.min_scalar_type(m))
-    upper = SimilarityAccumulator(g.n, g.u, g.v, ids).to_matrix()
+    upper = SimilarityAccumulator(pairs.n, pairs.u, pairs.v, ids).to_matrix()
     sym = (upper + upper.T).tocsr()
     del upper
     sym.sort_indices()
     indptr, edge = sym.indptr, sym.data - 1
     del sym
-    w = g.w[edge]
+    w = pairs.w[edge]
     keep = np.ones(len(edge), dtype=bool)
     for r in np.flatnonzero(np.diff(indptr) > t).tolist():
         row = w[indptr[r]:indptr[r + 1]]
@@ -259,4 +257,4 @@ def sparsify_top_t(g: UndirectedWeightedGraph, t: int) -> UndirectedWeightedGrap
         keep[indptr[r]:indptr[r + 1]] = kept
     mask = np.zeros(m, dtype=bool)
     mask[edge[keep]] = True
-    return UndirectedWeightedGraph(g.n, g.labels, g.u[mask], g.v[mask], g.w[mask])
+    return pairs.select(mask)

@@ -2,9 +2,8 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
-from reachsym import (ParseError, SimilarityAccumulator, UndirectedWeightedGraph,
-                      ValidationError, graph_from_pairs, pair_hierarchy_discount,
-                      sparsify_top_t)
+from reachsym import (ParseError, SimilarityAccumulator, ValidationError,
+                      graph_from_pairs, pair_hierarchy_discount, sparsify_top_t)
 from reachsym.similarity import _degree_discount
 from reference import dense_closure, dense_similarity
 
@@ -135,11 +134,24 @@ def load_edge_list_by_lines(stream, weighted=False):
     return labels, adj, loops
 
 
-def write_undirected_by_fstrings(g, stream, precision=6):
+def write_undirected_by_fstrings(pairs, labels, stream, precision=6):
     """Reference writer: one f-string per output line."""
     fmt = f"%.{precision}f"
-    stream.writelines(f"{g.labels[a]}\t{g.labels[b]}\t{fmt % c}\n"
-                      for a, b, c in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+    stream.writelines(f"{labels[a]}\t{labels[b]}\t{fmt % c}\n"
+                      for a, b, c in zip(pairs.u.tolist(), pairs.v.tolist(),
+                                         pairs.w.tolist()))
+
+
+def pairs_from_matrix(mat, n):
+    """Pair set from any sparse matrix: its strictly-upper entries, explicit
+    zeros dropped, in canonical (u, v) order."""
+    coo = sp.triu(mat, k=1).tocoo()
+    keep = coo.data != 0.0
+    u = coo.row[keep].astype(np.int64)
+    v = coo.col[keep].astype(np.int64)
+    w = coo.data[keep].astype(np.float64)
+    order = np.lexsort((v, u))
+    return SimilarityAccumulator(n, u[order], v[order], w[order])
 
 
 def oracle_symmetrize(g, cfg, h=None):
@@ -149,12 +161,11 @@ def oracle_symmetrize(g, cfg, h=None):
     hh = h if cfg.hierarchy_mode != "none" else None
     _, _, a_u = dense_similarity(closure, cfg.alpha, cfg.beta, h=hh,
                                  delta=cfg.delta)
-    acc = SimilarityAccumulator.from_matrix(sp.csr_matrix(np.triu(a_u, 1)), g.n)
+    acc = pairs_from_matrix(sp.csr_matrix(np.triu(a_u, 1)), g.n)
     if hh is not None:
         acc = pair_hierarchy_discount(acc, hh, cfg.gamma)
     keep = acc.w > cfg.epsilon
-    out = UndirectedWeightedGraph(g.n, g.labels, acc.u[keep], acc.v[keep],
-                                  acc.w[keep])
+    out = SimilarityAccumulator(g.n, acc.u[keep], acc.v[keep], acc.w[keep])
     if cfg.top_t is not None:
         out = sparsify_top_t(out, cfg.top_t)
     return out

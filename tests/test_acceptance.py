@@ -86,9 +86,10 @@ def test_baseline_reduction():
     with _report("baseline reduction at l = 1 (byte-identical / 1e-12 rel)"):
         for g in _fixtures():
             a = io.StringIO()
-            write_undirected(symmetrize(g, cfg(l=1, alpha=0.5, beta=0.5)), a)
+            write_undirected(symmetrize(g, cfg(l=1, alpha=0.5, beta=0.5)),
+                             g.labels, a)
             b = io.StringIO()
-            write_undirected(degree_discounted(g, 0.5, 0.5), b)
+            write_undirected(degree_discounted(g, 0.5, 0.5), g.labels, b)
             assert a.getvalue() == b.getvalue()
 
             r0 = symmetrize(g, cfg(l=1, alpha=0.0, beta=0.0))
@@ -209,7 +210,7 @@ def test_performance_smoke(tmp_path):
         assert g.edge_count == 100_000
         result = symmetrize(g, cfg(l=2))
         with open(tmp_path / "out.tsv", "w") as fh:
-            write_undirected(result, fh)
+            write_undirected(result, g.labels, fh)
         elapsed = time.perf_counter() - t0
         peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 ** 2
         assert result.edge_count > 0

@@ -1,5 +1,7 @@
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -119,7 +121,8 @@ class TestSymmetrizeCommand:
         with open(inp, encoding="utf-8") as f:
             g = load_edge_list(f)
         with open(b, "w", encoding="utf-8") as f:
-            write_undirected(oracle_symmetrize(g, SymmetrizationConfig()), f)
+            write_undirected(oracle_symmetrize(g, SymmetrizationConfig()),
+                             g.labels, f)
         assert a.read_text() == b.read_text()
 
     def test_top_t_and_epsilon_flags(self, tmp_path, capsys):
@@ -293,6 +296,41 @@ class TestRejectedInputs:
                      "-i", inp]) == 1
         assert f"node '{node}'" in assert_one_error_line(capsys)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, exponent", [
+        pytest.param("a\tc\t1e-300\nb\tc\t1e-300\n", "2",
+                     id="discount-overflows"),
+        pytest.param("a\tc\t1e200\nb\tc\t1e200\n", "0",
+                     id="product-overflows"),
+        pytest.param("a\tc\t1e300\na\td\t1e-300\nb\td\t1e-300\n", "2",
+                     id="inf-times-zero"),
+    ])
+    def test_non_finite_pair_weight(self, tmp_path, capsys, text, exponent):
+        inp = write(tmp_path / "g.tsv", text)
+        assert main(["symmetrize", "--method", "degree-discounted", "--weighted",
+                     "--alpha", exponent, "--beta", exponent, "-i", inp]) == 1
+        assert assert_one_error_line(capsys) == \
+            "error: weight of pair ('a', 'b') is not finite"
+
+
+@pytest.mark.parametrize("sub", ["symmetrize", "hierarchy"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, sub):
+    """stdout carries the bytes that -o writes, also when Python's stdout
+    encoding is ASCII."""
+    inp = tmp_path / "g.tsv"
+    inp.write_text("节点\tc\nb\tc\n", encoding="utf-8")
+    dst = tmp_path / "out.tsv"
+    assert main([sub, "-i", str(inp), "-o", str(dst)]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "reachsym", sub, "-i", str(inp)],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == dst.read_bytes()
+    assert "节点".encode("utf-8") in proc.stdout
+
 
 class TestOutputFile:
     def run(self, tmp_path, dst):
@@ -301,7 +339,7 @@ class TestOutputFile:
 
     def test_failed_write_keeps_previous_file(self, tmp_path, capsys,
                                               monkeypatch):
-        def failing_writer(result, f, precision):
+        def failing_writer(result, labels, f, precision):
             f.write("u\tv\t0.7")
             raise OSError("disk full")
 

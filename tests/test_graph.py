@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachsym import (DirectedGraph, ParseError, UndirectedWeightedGraph,
+from reachsym import (DirectedGraph, ParseError, SimilarityAccumulator,
                       ValidationError, condensation, graph_from_pairs,
                       load_edge_list, write_undirected)
 
@@ -145,33 +145,33 @@ class TestWriteUndirected:
         u = np.array([e[0] for e in edges], dtype=np.int64)
         v = np.array([e[1] for e in edges], dtype=np.int64)
         w = np.array([e[2] for e in edges], dtype=np.float64)
-        return UndirectedWeightedGraph(len(labels), labels, u, v, w)
+        return SimilarityAccumulator(len(labels), u, v, w), labels
 
     def test_empty_graph_empty_output(self):
         buf = io.StringIO()
-        write_undirected(self.make([], []), buf)
+        write_undirected(*self.make([], []), buf)
         assert buf.getvalue() == ""
 
     def test_fixed_precision_formatting(self):
         buf = io.StringIO()
-        write_undirected(self.make([(0, 1, 0.5)], ["a", "b"]), buf)
+        write_undirected(*self.make([(0, 1, 0.5)], ["a", "b"]), buf)
         assert buf.getvalue() == "a\tb\t0.500000\n"
 
     def test_precision_flag(self):
         buf = io.StringIO()
-        write_undirected(self.make([(0, 1, 0.5)], ["a", "b"]), buf, precision=2)
+        write_undirected(*self.make([(0, 1, 0.5)], ["a", "b"]), buf, precision=2)
         assert buf.getvalue() == "a\tb\t0.50\n"
 
     def test_round_trip(self):
-        g = self.make([(0, 1, 0.25), (1, 2, 1.5)], ["a", "b", "c"])
+        pairs, labels = self.make([(0, 1, 0.25), (1, 2, 1.5)], ["a", "b", "c"])
         buf = io.StringIO()
-        write_undirected(g, buf)
+        write_undirected(pairs, labels, buf)
         back = read_undirected(io.StringIO(buf.getvalue()))
         assert back == [("a", "b", 0.25), ("b", "c", 1.5)]
 
-    def text(self, writer, g, precision=6):
+    def text(self, writer, pairs, labels, precision=6):
         buf = io.StringIO()
-        writer(g, buf, precision=precision)
+        writer(pairs, labels, buf, precision=precision)
         return buf.getvalue()
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
@@ -179,19 +179,20 @@ class TestWriteUndirected:
            st.integers(0, 17))
     @settings(max_examples=200, deadline=None)
     def test_matches_fstring_reference(self, edges, precision):
-        g = self.make(edges, ["a", "b", "é", "节点", "#x"])
-        assert self.text(write_undirected, g, precision) == \
-            self.text(write_undirected_by_fstrings, g, precision)
+        pairs, labels = self.make(edges, ["a", "b", "é", "节点", "#x"])
+        assert self.text(write_undirected, pairs, labels, precision) == \
+            self.text(write_undirected_by_fstrings, pairs, labels, precision)
 
     def test_more_than_one_slice_matches_reference(self):
         rng = np.random.default_rng(5)
         m = 2 * graph._WRITE_CHUNK + 17
         u = np.sort(rng.integers(0, 300, m))
-        g = UndirectedWeightedGraph(400, [f"n{i}" for i in range(400)], u,
-                                    u + rng.integers(1, 100, m), rng.random(m))
+        pairs = SimilarityAccumulator(400, u, u + rng.integers(1, 100, m),
+                                      rng.random(m))
+        labels = [f"n{i}" for i in range(400)]
         for precision in (0, 6, 17):
-            assert self.text(write_undirected, g, precision) == \
-                self.text(write_undirected_by_fstrings, g, precision)
+            assert self.text(write_undirected, pairs, labels, precision) == \
+                self.text(write_undirected_by_fstrings, pairs, labels, precision)
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
                               st.floats(0.001, 100)), max_size=20))
@@ -206,7 +207,7 @@ class TestWriteUndirected:
         g = self.make([(a, b, pairs[(a, b)]) for a, b in keys],
                       [f"n{i}" for i in range(9)])
         buf = io.StringIO()
-        write_undirected(g, buf)
+        write_undirected(*g, buf)
         back = read_undirected(io.StringIO(buf.getvalue()))
         assert len(back) == len(keys)
         for (a, b, w), (ka, kb) in zip(back, keys):

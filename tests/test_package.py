@@ -30,3 +30,23 @@ def test_test_only_code_is_not_in_the_package():
 def test_no_threads_knob_in_the_library():
     assert "threads" not in reachsym.SymmetrizationConfig.__dataclass_fields__
     assert "threads" not in inspect.signature(reachsym.local_closure).parameters
+
+
+def test_one_pair_type():
+    # bench/spans.py wraps the pair sum at this path.
+    acc = importlib.import_module("reachsym.accumulator")
+    assert callable(acc.SimilarityAccumulator.add)
+    assert reachsym.SimilarityAccumulator is acc.SimilarityAccumulator
+    for name in ("UndirectedWeightedGraph", "CanonicalPairs"):
+        assert name not in reachsym.__all__
+        assert not hasattr(reachsym, name)
+        assert not hasattr(reachsym.graph, name)
+    for attr in ("from_matrix", "scaled"):
+        assert not hasattr(acc.SimilarityAccumulator, attr)
+    assert not hasattr(reachsym.similarity, "_to_undirected")
+
+
+def test_names_the_benchmark_check_imports():
+    # bench/reference.py imports these two from the package root.
+    from reachsym import auto_hierarchy, load_edge_list
+    assert callable(auto_hierarchy) and callable(load_edge_list)

@@ -8,18 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachsym import (INF, SimilarityAccumulator, SymmetrizationConfig,
-                      UndirectedWeightedGraph, ValidationError, auto_hierarchy,
-                      bibliometric, degree_discounted, graph_from_pairs,
-                      in_reach_similarity, local_closure, out_reach_similarity,
+                      ValidationError, auto_hierarchy, bibliometric,
+                      degree_discounted, graph_from_pairs, in_reach_similarity,
+                      local_closure, out_reach_similarity,
                       pair_hierarchy_discount, sparsify_top_t, symmetrize)
 from reachsym import similarity
 from reachsym.hierarchy import neighbor_discount_data
-from reachsym.similarity import _co_reach, _degree_discount, _row_blocks, _to_undirected
+from reachsym.similarity import _co_reach, _degree_discount, _row_blocks
 from reachsym.synthetic import powerlaw_digraph
 
 from conftest import (canonical_pairs, co_reach_full_rows, digraphs,
-                      first_order_by_adjacency, random_digraph,
-                      sparsify_top_t_by_lexsort)
+                      first_order_by_adjacency, pairs_from_matrix,
+                      random_digraph, sparsify_top_t_by_lexsort)
 from reference import (dense_closure, dense_similarity, out_neighbors,
                        reversed_graph)
 
@@ -246,7 +246,7 @@ class TestSparsifyTopT:
         u = np.array([triples[i][0] for i in order], dtype=np.int64)
         v = np.array([triples[i][1] for i in order], dtype=np.int64)
         w = np.array([triples[i][2] for i in order], dtype=np.float64)
-        return UndirectedWeightedGraph(n, [str(i) for i in range(n)], u, v, w)
+        return SimilarityAccumulator(n, u, v, w)
 
     def test_under_budget_unchanged(self):
         g = self.make([(0, 1, 1.0), (1, 2, 2.0)], 3)
@@ -287,7 +287,7 @@ class TestSparsifyTopT:
     @settings(max_examples=300, deadline=None)
     def test_matches_lexsort_reference(self, pairs, t):
         n, u, v, w = pairs
-        g = UndirectedWeightedGraph(n, [str(i) for i in range(n)], u, v, w)
+        g = SimilarityAccumulator(n, u, v, w)
         mask = sparsify_top_t_by_lexsort(g, t)
         out = sparsify_top_t(g, t)
         assert out.u.tolist() == u[mask].tolist()
@@ -307,7 +307,7 @@ class TestNothingDropped:
 
     def test_epsilon_zero_shares_arrays(self):
         g, acc = self.pairs()
-        out = _to_undirected(g, acc, 0.0)
+        out = acc.select(acc.w > 0.0)
         for a, b in ((out.u, acc.u), (out.v, acc.v), (out.w, acc.w)):
             assert np.shares_memory(a, b)
 
@@ -329,7 +329,7 @@ class TestAccumulatorAdd:
 
         def coo(acc):
             return sp.csr_matrix((acc.w, (acc.u, acc.v)), shape=(n, n))
-        ref = SimilarityAccumulator.from_matrix(coo(acc_a) + coo(acc_b), n)
+        ref = pairs_from_matrix(coo(acc_a) + coo(acc_b), n)
         assert total.u.tolist() == ref.u.tolist()
         assert total.v.tolist() == ref.v.tolist()
         assert total.w.tolist() == ref.w.tolist()
