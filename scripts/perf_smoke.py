@@ -34,7 +34,7 @@ def main():
 
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 ** 2
     print(f"generate   {t1 - t0:6.2f}s  ({g.edge_count} edges)")
-    print(f"symmetrize {t2 - t1:6.2f}s  ({result.edge_count} pairs)")
+    print(f"symmetrize {t2 - t1:6.2f}s  ({len(result)} pairs)")
     print(f"write      {t3 - t2:6.2f}s")
     print(f"total      {t3 - t0:6.2f}s  peak RSS {peak_gb:.2f} GB")
 

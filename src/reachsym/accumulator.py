@@ -34,10 +34,6 @@ class SimilarityAccumulator:
     def edges(self) -> list[tuple[int, int, float]]:
         return [(int(a), int(b), float(c)) for a, b, c in zip(self.u, self.v, self.w)]
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.w)
-
     def get(self, a: int, b: int, default: float = 0.0) -> float:
         """Weight of the unordered pair (a, b), ``default`` if absent."""
         if a == b:
@@ -50,10 +46,6 @@ class SimilarityAccumulator:
         if k < hi and self.v[k] == b:
             return float(self.w[k])
         return default
-
-    def weight(self, a: int, b: int) -> float:
-        """Weight of the unordered pair (a, b), 0.0 if absent."""
-        return self.get(a, b)
 
     def to_dense(self) -> np.ndarray:
         """Symmetric dense weight matrix (tests and small graphs only)."""

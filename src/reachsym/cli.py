@@ -7,6 +7,8 @@ error, 2 I/O error, 3 parse error.
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import math
 import os
 import sys
@@ -15,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from .closure import local_closure
+from .closure import _check_depth, local_closure
 from .graph import (DirectedGraph, ParseError, ValidationError, load_edge_list,
                     write_undirected)
 from .hierarchy import auto_hierarchy, load_hierarchy
@@ -35,8 +37,7 @@ def _parse_depth(text: str):
         val = int(text)
     except ValueError:
         raise ValidationError(f"invalid depth {text!r}") from None
-    if val < 1:
-        raise ValidationError("depth must be ≥ 1")
+    _check_depth(val)
     return val
 
 
@@ -115,11 +116,11 @@ def _load_graph(args) -> DirectedGraph:
 def _resolve_hierarchy(args, g):
     choice = args.hierarchy
     if choice == "none":
-        return "none", None
+        return None
     if choice == "auto":
-        return "auto", auto_hierarchy(g)
+        return auto_hierarchy(g)
     if choice.startswith("file:"):
-        return "file", _parse_file(choice[len("file:"):], load_hierarchy, g)
+        return _parse_file(choice[len("file:"):], load_hierarchy, g)
     raise ValidationError(f"invalid --hierarchy value {choice!r}")
 
 
@@ -133,20 +134,19 @@ def run_symmetrize(args) -> int:
         raise ValidationError("--gamma/--delta require --hierarchy auto or file:PATH")
     l = _parse_depth(args.l) if args.l is not None else 2
     g = _load_graph(args)
-    mode, scores = _resolve_hierarchy(args, g)
+    scores = _resolve_hierarchy(args, g)
     cfg = SymmetrizationConfig(
         method=args.method, l=l, alpha=args.alpha, beta=args.beta,
         gamma=args.gamma if args.gamma is not None else 1.0,
         delta=args.delta if args.delta is not None else 1.0,
-        hierarchy_mode=mode, epsilon=args.epsilon, top_t=args.top_t,
-        hub_cap=args.hub_cap)
+        epsilon=args.epsilon, top_t=args.top_t, hub_cap=args.hub_cap)
     if args.threads < 1:
         raise ValidationError("threads must be ≥ 1")
     result = symmetrize(g, cfg, scores)
     _emit(args, lambda f: write_undirected(result, g.labels, f,
                                            precision=args.precision))
     print(f"nodes={g.n} edges={g.edge_count} "
-          f"undirected_edges={result.edge_count} "
+          f"undirected_edges={len(result)} "
           f"self_loops_dropped={g.self_loops_dropped} "
           f"seconds={time.perf_counter() - t0:.2f}", file=sys.stderr)
     return 0
@@ -173,7 +173,7 @@ def run_stats(args) -> int:
             out.write(f"{name}\t{d}\t{c}\n")
 
     hist("out_degree", np.diff(g.adj.indptr))
-    hist("in_degree", np.diff(g.rev.indptr))
+    hist("in_degree", np.bincount(g.adj.indices, minlength=g.n))
     if args.l is not None:
         c = local_closure(g, _parse_depth(args.l))
         hist("closure_out_degree", c.d_out_plus)
@@ -187,7 +187,18 @@ def _emit(args, write_fn) -> None:
     was; anything else (``/dev/null``, a FIFO) is written in place."""
     path = getattr(args, "output", None)
     if not path:
-        return write_fn(sys.stdout)
+        out = sys.stdout
+        if (getattr(out, "buffer", None) is None
+                or codecs.lookup(out.encoding).name == "utf-8"):
+            return write_fn(out)
+        # The same UTF-8 bytes as -o, also when main() runs in a process
+        # whose stdout encoding is not UTF-8.
+        out.flush()
+        f = io.TextIOWrapper(out.buffer, encoding="utf-8")
+        try:
+            return write_fn(f)
+        finally:
+            f.detach()  # flushes f and leaves sys.stdout's buffer open
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as f:
             return write_fn(f)

@@ -24,7 +24,7 @@ _LARGE_INF_WARN = 10_000
 def _check_depth(l) -> None:
     if l == INF:
         return
-    if not float(l).is_integer() or l < 1:
+    if not (l >= 1 and l % 1 == 0):  # no float(l): an int may not fit one
         raise ValidationError("depth must be ≥ 1")
 
 
@@ -83,5 +83,7 @@ def weighted_closure(g: DirectedGraph) -> LocalClosure:
     if bad.any():
         raise ValidationError(f"weighted degree of node {g.labels[bad.argmax()]!r} "
                               "is not finite")
-    return LocalClosure(n=g.n, l=1, out_mat=g.adj, in_mat=g.rev,
+    rev = g.adj.T.tocsr()
+    rev.sort_indices()
+    return LocalClosure(n=g.n, l=1, out_mat=g.adj, in_mat=rev,
                         d_out_plus=d_out, d_in_plus=d_in)

@@ -6,7 +6,7 @@ backed by a CSR adjacency matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import IO, Iterable
 
@@ -31,14 +31,13 @@ class ParseError(ValueError):
 
 @dataclass
 class DirectedGraph:
-    """Immutable sparse directed graph with forward and reverse adjacency."""
+    """Immutable sparse directed graph over a CSR adjacency matrix."""
 
     n: int
     labels: list[str]
     adj: sp.csr_matrix            # n x n, positive float weights (1.0 if unweighted)
     weighted: bool = False
     self_loops_dropped: int = 0
-    _rev: sp.csr_matrix = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.adj.sort_indices()
@@ -46,15 +45,6 @@ class DirectedGraph:
     @property
     def edge_count(self) -> int:
         return self.adj.nnz
-
-    @property
-    def rev(self) -> sp.csr_matrix:
-        """Reverse adjacency (CSR of the transpose), built lazily."""
-        if self._rev is None:
-            rev = self.adj.T.tocsr()
-            rev.sort_indices()
-            object.__setattr__(self, "_rev", rev)
-        return self._rev
 
 
 def _build_graph(labels: list[str], u: np.ndarray, v: np.ndarray,

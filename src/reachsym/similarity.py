@@ -27,7 +27,6 @@ from .graph import DirectedGraph, ValidationError
 from .hierarchy import HierarchyScores, neighbor_discount_data, pair_hierarchy_discount
 
 METHODS = ("reach", "degree-discounted", "bibliometric")
-HIERARCHY_MODES = ("none", "file", "auto")
 
 
 @dataclass
@@ -38,7 +37,6 @@ class SymmetrizationConfig:
     beta: float = 0.5                # in-degree discount exponent
     gamma: float = 1.0               # pair-level hierarchy exponent
     delta: float = 1.0               # common-neighbor hierarchy exponent
-    hierarchy_mode: str = "none"
     epsilon: float = 0.0             # drop weights <= epsilon
     top_t: Optional[int] = None      # per-node strongest-edge cap
     hub_cap: Optional[int] = None    # reach only: skip common neighbors above
@@ -47,8 +45,6 @@ class SymmetrizationConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
-        if self.hierarchy_mode not in HIERARCHY_MODES:
-            raise ValidationError(f"unknown hierarchy mode {self.hierarchy_mode!r}")
         _check_depth(self.l)
         for name in ("alpha", "beta", "gamma", "delta", "epsilon"):
             val = getattr(self, name)
@@ -184,16 +180,13 @@ def bibliometric(g: DirectedGraph) -> SimilarityAccumulator:
 
 def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
                h: Optional[HierarchyScores] = None) -> SimilarityAccumulator:
-    """Full pipeline: similarity accumulation, optional hierarchy discounts,
-    epsilon thresholding, optional top-t sparsification."""
+    """Full pipeline: similarity accumulation, hierarchy discounts when
+    scores ``h`` are given, epsilon thresholding, optional top-t
+    sparsification."""
     cfg.validate()
-    use_h = cfg.hierarchy_mode != "none"
-    if use_h:
+    if h is not None:
         if cfg.method != "reach":
             raise ValidationError("hierarchy refinements require method 'reach'")
-        if h is None:
-            raise ValidationError("hierarchy_mode is "
-                                  f"{cfg.hierarchy_mode!r} but no scores were given")
         if len(h) != g.n:
             missing = g.labels[len(h):] if len(h) < g.n else []
             raise ValidationError(
@@ -208,13 +201,12 @@ def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
     else:
         cfg = replace(cfg, l=1)
         c = weighted_closure(g)
-    hh = h if use_h else None
     # Extreme edge weights can overflow a discount (inf) or meet one (inf * 0
     # is NaN); the pair that gets such a weight is reported below instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = out_reach_similarity(c, cfg, hh).add(in_reach_similarity(c, cfg, hh))
-    if hh is not None:
-        acc = pair_hierarchy_discount(acc, hh, cfg.gamma)
+        acc = out_reach_similarity(c, cfg, h).add(in_reach_similarity(c, cfg, h))
+    if h is not None:
+        acc = pair_hierarchy_discount(acc, h, cfg.gamma)
 
     # Checked before epsilon, whose `w > epsilon` would drop a NaN silently.
     if not np.isfinite(acc.w).all():

@@ -158,12 +158,11 @@ def oracle_symmetrize(g, cfg, h=None):
     """Dense-oracle counterpart of ``symmetrize``: dense closure and
     similarity, then the same pair discount, epsilon and top-t steps."""
     closure = dense_closure(g, cfg.l)
-    hh = h if cfg.hierarchy_mode != "none" else None
-    _, _, a_u = dense_similarity(closure, cfg.alpha, cfg.beta, h=hh,
+    _, _, a_u = dense_similarity(closure, cfg.alpha, cfg.beta, h=h,
                                  delta=cfg.delta)
     acc = pairs_from_matrix(sp.csr_matrix(np.triu(a_u, 1)), g.n)
-    if hh is not None:
-        acc = pair_hierarchy_discount(acc, hh, cfg.gamma)
+    if h is not None:
+        acc = pair_hierarchy_discount(acc, h, cfg.gamma)
     keep = acc.w > cfg.epsilon
     out = SimilarityAccumulator(g.n, acc.u[keep], acc.v[keep], acc.w[keep])
     if cfg.top_t is not None:

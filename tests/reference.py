@@ -34,13 +34,13 @@ def out_neighbors(g: DirectedGraph, u: int) -> np.ndarray:
 
 
 def in_neighbors(g: DirectedGraph, u: int) -> np.ndarray:
-    r = g.rev
+    r = g.adj.tocsc()  # column u holds u's predecessors, sorted
     return r.indices[r.indptr[u]:r.indptr[u + 1]]
 
 
 def reversed_graph(g: DirectedGraph) -> DirectedGraph:
     """Graph with every edge direction flipped (labels preserved)."""
-    return DirectedGraph(g.n, g.labels, g.rev.copy(), weighted=g.weighted,
+    return DirectedGraph(g.n, g.labels, g.adj.T.tocsr(), weighted=g.weighted,
                          self_loops_dropped=g.self_loops_dropped)
 
 

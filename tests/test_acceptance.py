@@ -108,8 +108,8 @@ def test_second_order_motif():
             (f, x1), (x1, s), (g_, x2), (x2, s),
             (p, y1), (y1, f), (p, y2), (y2, g_),
         ], n=8)
-        assert symmetrize(g, cfg(l=1)).weight(f, g_) == 0.0
-        w2 = symmetrize(g, cfg(l=2)).weight(f, g_)
+        assert symmetrize(g, cfg(l=1)).get(f, g_) == 0.0
+        w2 = symmetrize(g, cfg(l=2)).get(f, g_)
         assert w2 > 0.0
         assert w2 == pytest.approx(0.5, abs=1e-12)
 
@@ -213,7 +213,7 @@ def test_performance_smoke(tmp_path):
             write_undirected(result, g.labels, fh)
         elapsed = time.perf_counter() - t0
         peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 ** 2
-        assert result.edge_count > 0
+        assert len(result) > 0
         assert elapsed < 60, f"took {elapsed:.1f}s"
         assert peak_gb < 2.0, f"peak RSS {peak_gb:.2f} GB"
 

@@ -51,6 +51,15 @@ class TestSymmetrizeCommand:
         _, err = capsys.readouterr()
         assert "error: depth must be ≥ 1" in err
 
+    @pytest.mark.parametrize("sub", ["symmetrize", "stats"])
+    def test_depth_beyond_a_float_runs_as_inf(self, tmp_path, capsys, sub):
+        # 400 digits: float(depth) would raise OverflowError
+        inp = write(tmp_path / "g.tsv", "a\tb\nb\tc\nc\ta\nc\td\n")
+        assert main([sub, "--l", "inf", "-i", inp]) == 0
+        want, _ = capsys.readouterr()
+        assert main([sub, "--l", "9" * 400, "-i", inp]) == 0
+        assert capsys.readouterr()[0] == want
+
     def test_l_requires_reach(self, tmp_path, capsys):
         inp = write(tmp_path / "g.tsv", CHAIN)
         assert main(["symmetrize", "--method", "bibliometric", "--l", "2",
@@ -167,6 +176,14 @@ class TestStatsCommand:
         assert "closure_out_degree\t0\t1" in out
         assert "closure_out_degree\t1\t1" in out
         assert "closure_out_degree\t2\t1" in out
+
+    def test_in_degree_histogram(self, tmp_path, capsys):
+        inp = write(tmp_path / "g.tsv", "b\tc\nc\td\na\tc\n")
+        assert main(["stats", "-i", inp]) == 0
+        out, _ = capsys.readouterr()
+        # in-degrees: b 0, c 2, d 1, a 0 (the last node)
+        assert [ln for ln in out.splitlines() if ln.startswith("in_degree")] == \
+            ["in_degree\t0\t2", "in_degree\t1\t1", "in_degree\t2\t1"]
 
     def test_self_loops_reported(self, tmp_path, capsys):
         inp = write(tmp_path / "g.tsv", "a\ta\n")
@@ -313,10 +330,9 @@ class TestRejectedInputs:
             "error: weight of pair ('a', 'b') is not finite"
 
 
-@pytest.mark.parametrize("sub", ["symmetrize", "hierarchy"])
-def test_stdout_is_utf8_whatever_the_locale(tmp_path, sub):
-    """stdout carries the bytes that -o writes, also when Python's stdout
-    encoding is ASCII."""
+def _check_ascii_stdout(tmp_path, sub, launcher):
+    """``python <launcher> <sub> -i g.tsv``, run with an ASCII stdout
+    encoding over a non-ASCII label, prints the bytes that -o writes."""
     inp = tmp_path / "g.tsv"
     inp.write_text("节点\tc\nb\tc\n", encoding="utf-8")
     dst = tmp_path / "out.tsv"
@@ -324,12 +340,27 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path, sub):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-m", "reachsym", sub, "-i", str(inp)],
+    proc = subprocess.run([sys.executable, *launcher, sub, "-i", str(inp)],
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert b"Traceback" not in proc.stderr
     assert proc.stdout == dst.read_bytes()
     assert "节点".encode("utf-8") in proc.stdout
+
+
+@pytest.mark.parametrize("sub", ["symmetrize", "hierarchy"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, sub):
+    """stdout carries the bytes that -o writes, also when Python's stdout
+    encoding is ASCII."""
+    _check_ascii_stdout(tmp_path, sub, ["-m", "reachsym"])
+
+
+@pytest.mark.parametrize("sub", ["symmetrize", "hierarchy"])
+def test_in_process_main_writes_utf8_stdout(tmp_path, sub):
+    """main() called in-process, without the entry point's stdout
+    reconfigure, also prints UTF-8 under an ASCII stdout encoding."""
+    _check_ascii_stdout(tmp_path, sub, [
+        "-c", "import sys, reachsym.cli as c; sys.exit(c.main(sys.argv[1:]))"])
 
 
 class TestOutputFile:

@@ -165,39 +165,32 @@ class TestDistanceDiscount:
 
 class TestHierarchyInPipeline:
     def test_disabled_mode_is_bitwise_plain(self):
+        # Without scores, gamma and delta are inert.
         rng = np.random.default_rng(41)
         g = random_digraph(rng, 20, 0.15)
         plain = symmetrize(g, SymmetrizationConfig(l=2))
-        off = symmetrize(g, SymmetrizationConfig(l=2, hierarchy_mode="none",
-                                                 gamma=5.0, delta=5.0),
-                         h=auto_hierarchy(g))
+        off = symmetrize(g, SymmetrizationConfig(l=2, gamma=5.0, delta=5.0))
         assert plain.w.tolist() == off.w.tolist()
         assert plain.u.tolist() == off.u.tolist()
-
-    def test_missing_scores_rejected(self):
-        g = graph_from_pairs([(0, 1)], n=2)
-        with pytest.raises(ValidationError, match="scores"):
-            symmetrize(g, SymmetrizationConfig(l=1, hierarchy_mode="auto"))
 
     def test_short_scores_name_missing_labels(self):
         g = load_edge_list(io.StringIO("a\tb\nb\tc"))
         h = HierarchyScores(np.array([0.0, 1.0]))
         with pytest.raises(ValidationError, match="c"):
-            symmetrize(g, SymmetrizationConfig(l=1, hierarchy_mode="file"), h)
+            symmetrize(g, SymmetrizationConfig(l=1), h)
 
     def test_hierarchy_with_baseline_method_rejected(self):
         g = graph_from_pairs([(0, 1)], n=2)
         h = HierarchyScores(np.array([0.0, 1.0]))
         with pytest.raises(ValidationError, match="reach"):
-            symmetrize(g, SymmetrizationConfig(method="bibliometric",
-                                               l=1, hierarchy_mode="auto"), h)
+            symmetrize(g, SymmetrizationConfig(method="bibliometric", l=1), h)
 
     def test_delta_discount_damps_distant_common_neighbors(self):
         # u->w, v->w with w far from both in hierarchy: delta > 0 shrinks
         g = graph_from_pairs([(0, 2), (1, 2)], n=3)
         far = HierarchyScores(np.array([0.0, 0.0, 1.0]))
-        base = symmetrize(g, SymmetrizationConfig(
-            l=1, hierarchy_mode="file", gamma=0.0, delta=0.0), far)
-        damped = symmetrize(g, SymmetrizationConfig(
-            l=1, hierarchy_mode="file", gamma=0.0, delta=1.0), far)
-        assert damped.weight(0, 1) == pytest.approx(base.weight(0, 1) / 4)
+        base = symmetrize(g, SymmetrizationConfig(l=1, gamma=0.0, delta=0.0),
+                          far)
+        damped = symmetrize(g, SymmetrizationConfig(l=1, gamma=0.0, delta=1.0),
+                            far)
+        assert damped.get(0, 1) == pytest.approx(base.get(0, 1) / 4)
