@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -162,6 +163,7 @@ def run_hierarchy(args) -> int:
 
 
 def run_stats(args) -> int:
+    l = _parse_depth(args.l) if args.l is not None else None
     g = _load_graph(args)
     out = sys.stdout
     out.write(f"nodes\t{g.n}\n")
@@ -174,8 +176,8 @@ def run_stats(args) -> int:
 
     hist("out_degree", np.diff(g.adj.indptr))
     hist("in_degree", np.bincount(g.adj.indices, minlength=g.n))
-    if args.l is not None:
-        c = local_closure(g, _parse_depth(args.l))
+    if l is not None:
+        c = local_closure(g, l)
         hist("closure_out_degree", c.d_out_plus)
         hist("closure_in_degree", c.d_in_plus)
     return 0
@@ -221,21 +223,25 @@ def _emit(args, write_fn) -> None:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        runner = {"symmetrize": run_symmetrize,
-                  "hierarchy": run_hierarchy,
-                  "stats": run_stats}[args.subcommand]
-        return runner(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    # A warning that the filters in force let through prints as one line.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            runner = {"symmetrize": run_symmetrize,
+                      "hierarchy": run_hierarchy,
+                      "stats": run_stats}[args.subcommand]
+            return runner(args)
+        except ParseError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 3
+        except ValidationError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
 
 def entrypoint() -> None:

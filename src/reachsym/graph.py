@@ -152,27 +152,102 @@ def graph_from_pairs(pairs, n: int | None = None, weights=None) -> DirectedGraph
                         weights is not None)
 
 
-# Pairs formatted per `%`; the slice's temporaries stay well under the
-# parser's memory peak.
-_WRITE_CHUNK = 8_192
+# Pairs per written slice; its byte records stay well under the parser's
+# memory peak.
+_WRITE_CHUNK = 1 << 16
+# _DIGIT_PAIRS[k] is "%02d" % k in ASCII, as one uint16.
+_DIGIT_PAIRS = np.frombuffer("".join(map("{:02d}".format, range(100))).encode(),
+                             dtype="<u2")
 
 
 def write_undirected(pairs: SimilarityAccumulator, labels: list[str],
                      stream: IO[str], precision: int = 6) -> None:
     """Emit ``labelU<TAB>labelV<TAB>weight`` lines in canonical (u, v) order,
-    where ``labels`` names the pairs' nodes.
+    where ``labels`` names the pairs' nodes; the weight is ``%.{precision}f``.
 
     Output is byte-identical across runs and worker counts for equal inputs.
     """
-    labels = np.array(labels, dtype=object)
-    line = f"%s\t%s\t%.{precision}f\n"
+    table = _label_table(labels) if len(pairs.w) else None
+    names = None  # the labels as an object array, once a slice needs `%`
     for s in range(0, len(pairs.w), _WRITE_CHUNK):
-        w = pairs.w[s:s + _WRITE_CHUNK].tolist()
-        items = [None] * (3 * len(w))
-        items[0::3] = labels[pairs.u[s:s + _WRITE_CHUNK]].tolist()
-        items[1::3] = labels[pairs.v[s:s + _WRITE_CHUNK]].tolist()
-        items[2::3] = w
-        stream.write((line * len(w)) % tuple(items))
+        u, v, w = (a[s:s + _WRITE_CHUNK] for a in (pairs.u, pairs.v, pairs.w))
+        text = None if table is None else _format_records(table, u, v, w,
+                                                          precision)
+        if text is None:
+            names = np.array(labels, dtype=object) if names is None else names
+            items = [None] * (3 * len(w))
+            items[0::3] = names[u].tolist()
+            items[1::3] = names[v].tolist()
+            items[2::3] = w.tolist()
+            text = (f"%s\t%s\t%.{precision}f\n" * len(w)) % tuple(items)
+        stream.write(text)
+
+
+def _label_table(labels: list[str]) -> np.ndarray | None:
+    """The UTF-8 labels as a NUL-padded ``S{width}`` array; None when a label
+    contains NUL or is over 256 bytes, or when the table would be far larger
+    than the labels' own bytes."""
+    text = "\0".join(labels).encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(text, dtype=np.uint8)
+    ends = np.r_[np.flatnonzero(buf == 0), len(buf)]
+    starts = np.r_[0, ends[:-1] + 1]
+    lens = ends - starts
+    width = max(int(lens.max()), 1)
+    if (len(ends) != len(labels) or width > 256
+            or len(labels) * width > 4 * len(text)):
+        return None
+    # Filled column by column: no index array per byte, which would raise
+    # the run's peak memory.
+    table = np.zeros((len(labels), width), dtype=np.uint8)
+    for j in range(width):
+        has = slice(None) if j < lens.min() else np.flatnonzero(lens > j)
+        table[has, j] = buf[starts[has] + j]
+    return table.view(f"S{width}").ravel()
+
+
+def _format_records(table: np.ndarray, u, v, w, precision: int) -> str | None:
+    """The pairs' lines, as fixed-width byte records with NULs compressed out;
+    None when most weights need ``%``.
+
+    For 0 ≤ y = w·10^p < 2^30, y is within 2^-24 of the exact product, so
+    rint(y) rounds as ``%`` does unless y is within 1e-6 of a boundary.  Other
+    weights are formatted by ``%`` into their record's weight field."""
+    m, p, width = len(w), precision, table.dtype.itemsize
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = w * 10.0 ** p
+        x = np.rint(y)
+        fast = (~np.signbit(w) & (y < 2.0 ** 30)
+                & (np.abs(np.abs(y - x) - 0.5) >= 1e-6))
+    slow = np.flatnonzero(~fast)
+    if 2 * len(slow) > m:
+        return None
+    slow_text = np.array(list(map(f"%.{p}f".__mod__, w[slow].tolist())),
+                         dtype=np.bytes_)
+    whole, frac = np.divmod(np.where(fast, x, 0.0).astype(np.int64), 10 ** p)
+    n_int = len(str(int(whole.max())))
+    field = max(n_int + p + (p > 0), slow_text.dtype.itemsize)
+    # Record: u, tab, v, tab, the weight right-aligned in its field, newline.
+    b = np.zeros((m, 2 * width + 3 + field), dtype=np.uint8)
+    b[:, :width].view(table.dtype)[:, 0] = table[u]
+    b[:, width + 1:2 * width + 1].view(table.dtype)[:, 0] = table[v]
+    b[:, width] = b[:, 2 * width + 1] = ord("\t")
+    b[:, -1] = ord("\n")
+    if p:
+        b[:, -2 - p] = ord(".")
+    # Digits right to left, two per uint16 store: the fraction's, then the
+    # integer part's, whose leading zeros stay NUL.
+    for val, end, n in ((frac, b.shape[1] - 1, p),
+                        (whole, b.shape[1] - 1 - p - (p > 0), n_int)):
+        for k in range(n // 2):
+            val, low = np.divmod(val, 100)
+            b[:, end - 2 * k - 2:end - 2 * k].view("<u2")[:, 0] = _DIGIT_PAIRS[low]
+        if n % 2:
+            b[:, end - n] = val + ord("0")
+    for k in range(1, n_int):
+        b[whole < 10 ** k, end - k - 1] = 0
+    b[:, -1 - field:-1].view(f"S{field}")[slow, 0] = slow_text
+    flat = b.ravel()
+    return flat[flat != 0].tobytes().decode("utf-8", "surrogatepass")
 
 
 def condensation(g: DirectedGraph) -> tuple[np.ndarray, sp.csr_matrix]:

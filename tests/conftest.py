@@ -1,11 +1,21 @@
+import os
+
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from reachsym import (ParseError, SimilarityAccumulator, ValidationError,
                       graph_from_pairs, pair_hierarchy_discount, sparsify_top_t)
 from reachsym.similarity import _degree_discount
 from reference import dense_closure, dense_similarity
+
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
+# blob that replays a failure, so a red case in CI is the same case locally.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 @st.composite

@@ -191,9 +191,10 @@ class TestStatsCommand:
         out, _ = capsys.readouterr()
         assert "nodes\t1" in out and "self_loops_dropped\t1" in out
 
-    def test_bad_depth_exit_1(self, tmp_path):
+    def test_bad_depth_exit_1(self, tmp_path, capsys):
         inp = write(tmp_path / "g.tsv", CHAIN)
         assert main(["stats", "-i", inp, "--l", "0"]) == 1
+        assert assert_one_error_line(capsys) == "error: depth must be ≥ 1"
 
 
 class TestUsageErrors:
@@ -284,6 +285,41 @@ class TestRejectedInputs:
         assert main(["symmetrize", "--hierarchy", f"file:{hf}", "-i", inp]) == 3
         assert assert_one_error_line(capsys) == \
             f"error: line 2: non-finite score '{score}'"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--hub-cap", "1"], "warning: hub cap 1: skipping 1 common-neighbor"),
+        (["--hierarchy", "file:{hf}"],
+         "warning: hierarchy file line 2: unknown label 'x' ignored"),
+    ])
+    def test_warning_is_one_line_without_source(self, tmp_path, capsys, flags,
+                                                message):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        hf = write(tmp_path / "h.tsv", "u\t0\nx\t1\nv\t1\nw\t2\n")
+        argv = ["symmetrize", "-i", inp] + [f.format(hf=hf) for f in flags]
+        assert main(argv) == 0
+        warned = [l for l in capsys.readouterr().err.splitlines()
+                  if not l.startswith("nodes=")]
+        assert len(warned) == 1 and warned[0].startswith(message)
+        assert "reachsym" not in warned[0] and ".py" not in warned[0]
+
+    def test_warning_line_from_python_m(self, tmp_path):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "reachsym", "symmetrize",
+                               "--hub-cap", "1", "-i", inp], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("nodes=")
+        assert lines[0] == "warning: hub cap 1: skipping 1 common-neighbor node(s)"
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_warning_filters_in_force_still_apply(self, tmp_path):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        with pytest.raises(UserWarning, match="hub cap"):
+            main(["symmetrize", "--hub-cap", "1", "-i", inp])
 
     @pytest.mark.filterwarnings("error")
     def test_hierarchy_score_range_overflowing_a_double(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,6 +141,22 @@ class TestGraphFromPairs:
         assert g.adj.toarray().tolist() == [[0.0, 2.5], [0.0, 0.0]]
 
 
+def _boundary_weights(p):
+    """Weights near the rounding boundaries of ``%.{p}f``, plus the values
+    the record writer must leave to ``%``."""
+    scale = 10.0 ** p
+    tie = st.integers(0, 2 ** 31).map(lambda k: (k + 0.5) / scale)
+    beside = st.tuples(tie, st.sampled_from([-np.inf, np.inf])).map(
+        lambda t: float(np.nextafter(*t)))
+    return st.one_of(
+        st.floats(0, 1e3), tie, beside, tie.map(lambda w: -w),
+        st.floats(2.0 ** 29 / scale, 2.0 ** 31 / scale),
+        st.sampled_from([0.0, -0.0, -1.0, np.inf, -np.inf, np.nan]))
+
+
+_LABELS = ["a", "é", "节点", "", "#x"]
+
+
 class TestWriteUndirected:
     def make(self, edges, labels):
         u = np.array([e[0] for e in edges], dtype=np.int64)
@@ -193,6 +210,59 @@ class TestWriteUndirected:
         for precision in (0, 6, 17):
             assert self.text(write_undirected, pairs, labels, precision) == \
                 self.text(write_undirected_by_fstrings, pairs, labels, precision)
+
+    def matches_reference(self, w, labels, precision):
+        """Pairs with weights ``w`` over ``labels`` write as ``%`` does."""
+        m = len(w)
+        pairs = SimilarityAccumulator(len(labels), np.arange(m) % len(labels),
+                                      np.arange(m) * 7 % len(labels),
+                                      np.asarray(w, dtype=np.float64))
+        assert self.text(write_undirected, pairs, labels, precision) == \
+            self.text(write_undirected_by_fstrings, pairs, labels, precision)
+
+    @given(st.integers(0, 17).flatmap(lambda p: st.tuples(
+               st.just(p), st.lists(_boundary_weights(p), min_size=1,
+                                    max_size=30))),
+           st.sampled_from([1, 2, 3, 7, graph._WRITE_CHUNK]))
+    @settings(max_examples=600, deadline=None)
+    def test_boundary_weights(self, pw, chunk):
+        precision, w = pw
+        with mock.patch.object(graph, "_WRITE_CHUNK", chunk):
+            self.matches_reference(w, _LABELS, precision)
+
+    @pytest.mark.parametrize("extra", [
+        ["x\0y"], ["z" * 10_000], [f"{'w' * 250}{i}" for i in range(9)]],
+        ids=["nul", "10kB", "wide"])
+    @pytest.mark.parametrize("precision", [0, 6, 17])
+    def test_label_edge_cases(self, extra, precision):
+        rng = np.random.default_rng(3)
+        self.matches_reference(np.r_[rng.random(40) * 1e3, 0.5, -0.0, np.nan],
+                               _LABELS + extra, precision)
+
+    def test_which_labels_get_a_table(self):
+        # NUL would be compressed out of a record, and a long label widens
+        # every record and the whole table.
+        many = [str(i) for i in range(100)]
+        assert graph._label_table(many + ["x\0y"]) is None
+        assert graph._label_table(many + ["z" * 10_000]) is None
+        assert graph._label_table(many + ["z" * 100]) is None
+        wide = [f"{'w' * 250}{i}" for i in range(9)]
+        assert graph._label_table(wide).dtype.itemsize == 251
+        assert graph._label_table([s + "w" * 50 for s in wide]) is None
+        for labels in (_LABELS, ["abc", "de", "f"]):
+            assert graph._label_table(labels).tolist() == \
+                [s.encode() for s in labels]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("precision", [0, 1, 6])
+    def test_fallback_rows_at_slice_ends(self, monkeypatch, chunk, precision):
+        monkeypatch.setattr(graph, "_WRITE_CHUNK", chunk)
+        boundary = 0.5 / 10 ** precision
+        rng = np.random.default_rng(chunk)
+        for bad in (boundary, -1.0, np.nan):
+            w = rng.random(4 * chunk + 1)
+            w[[0, chunk - 1, chunk, 2 * chunk - 1, -1]] = bad
+            self.matches_reference(w, _LABELS, precision)
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
                               st.floats(0.001, 100)), max_size=20))
