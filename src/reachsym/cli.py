@@ -223,25 +223,26 @@ def _emit(args, write_fn) -> None:
 
 
 def main(argv=None) -> int:
-    # A warning that the filters in force let through prints as one line.
-    with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: print(
-            f"warning: {message}", file=sys.stderr)
-        try:
-            args = build_parser().parse_args(argv)
-            runner = {"symmetrize": run_symmetrize,
-                      "hierarchy": run_hierarchy,
-                      "stats": run_stats}[args.subcommand]
-            return runner(args)
-        except ParseError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 3
-        except ValidationError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+    # A warning prints as one line; filters and recorders still apply.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    try:
+        args = build_parser().parse_args(argv)
+        runner = {"symmetrize": run_symmetrize,
+                  "hierarchy": run_hierarchy,
+                  "stats": run_stats}[args.subcommand]
+        return runner(args)
+    except ParseError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
+    except ValidationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def entrypoint() -> None:

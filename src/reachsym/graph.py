@@ -167,33 +167,34 @@ def write_undirected(pairs: SimilarityAccumulator, labels: list[str],
 
     Output is byte-identical across runs and worker counts for equal inputs.
     """
-    table = _label_table(labels) if len(pairs.w) else None
+    w = np.asarray(pairs.w, dtype=np.float64)  # float32 would round as float32
+    table = _label_table(labels) if len(w) else None
     names = None  # the labels as an object array, once a slice needs `%`
-    for s in range(0, len(pairs.w), _WRITE_CHUNK):
-        u, v, w = (a[s:s + _WRITE_CHUNK] for a in (pairs.u, pairs.v, pairs.w))
-        text = None if table is None else _format_records(table, u, v, w,
+    for s in range(0, len(w), _WRITE_CHUNK):
+        u, v, ws = (a[s:s + _WRITE_CHUNK] for a in (pairs.u, pairs.v, w))
+        text = None if table is None else _format_records(table, u, v, ws,
                                                           precision)
         if text is None:
             names = np.array(labels, dtype=object) if names is None else names
-            items = [None] * (3 * len(w))
+            items = [None] * (3 * len(ws))
             items[0::3] = names[u].tolist()
             items[1::3] = names[v].tolist()
-            items[2::3] = w.tolist()
-            text = (f"%s\t%s\t%.{precision}f\n" * len(w)) % tuple(items)
+            items[2::3] = ws.tolist()
+            text = (f"%s\t%s\t%.{precision}f\n" * len(ws)) % tuple(items)
         stream.write(text)
 
 
 def _label_table(labels: list[str]) -> np.ndarray | None:
     """The UTF-8 labels as a NUL-padded ``S{width}`` array; None when a label
-    contains NUL or is over 256 bytes, or when the table would be far larger
-    than the labels' own bytes."""
+    contains NUL, the widest is over 64 bytes (``%`` is faster from there),
+    or the table would be far larger than the labels' own bytes."""
     text = "\0".join(labels).encode("utf-8", "surrogatepass")
     buf = np.frombuffer(text, dtype=np.uint8)
     ends = np.r_[np.flatnonzero(buf == 0), len(buf)]
     starts = np.r_[0, ends[:-1] + 1]
     lens = ends - starts
     width = max(int(lens.max()), 1)
-    if (len(ends) != len(labels) or width > 256
+    if (len(ends) != len(labels) or width > 64
             or len(labels) * width > 4 * len(text)):
         return None
     # Filled column by column: no index array per byte, which would raise
@@ -207,7 +208,7 @@ def _label_table(labels: list[str]) -> np.ndarray | None:
 
 def _format_records(table: np.ndarray, u, v, w, precision: int) -> str | None:
     """The pairs' lines, as fixed-width byte records with NULs compressed out;
-    None when most weights need ``%``.
+    None when over 3/4 of the weights need ``%`` (then ``%`` is faster).
 
     For 0 ≤ y = w·10^p < 2^30, y is within 2^-24 of the exact product, so
     rint(y) rounds as ``%`` does unless y is within 1e-6 of a boundary.  Other
@@ -219,7 +220,7 @@ def _format_records(table: np.ndarray, u, v, w, precision: int) -> str | None:
         fast = (~np.signbit(w) & (y < 2.0 ** 30)
                 & (np.abs(np.abs(y - x) - 0.5) >= 1e-6))
     slow = np.flatnonzero(~fast)
-    if 2 * len(slow) > m:
+    if 4 * len(slow) > 3 * m:
         return None
     slow_text = np.array(list(map(f"%.{p}f".__mod__, w[slow].tolist())),
                          dtype=np.bytes_)
@@ -235,7 +236,7 @@ def _format_records(table: np.ndarray, u, v, w, precision: int) -> str | None:
     if p:
         b[:, -2 - p] = ord(".")
     # Digits right to left, two per uint16 store: the fraction's, then the
-    # integer part's, whose leading zeros stay NUL.
+    # integer part's, whose leading zeros are cleared back to NUL.
     for val, end, n in ((frac, b.shape[1] - 1, p),
                         (whole, b.shape[1] - 1 - p - (p > 0), n_int)):
         for k in range(n // 2):

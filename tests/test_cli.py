@@ -2,6 +2,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -291,29 +292,28 @@ class TestRejectedInputs:
         (["--hierarchy", "file:{hf}"],
          "warning: hierarchy file line 2: unknown label 'x' ignored"),
     ])
-    def test_warning_is_one_line_without_source(self, tmp_path, capsys, flags,
-                                                message):
+    def test_warning_is_one_line_without_source(self, tmp_path, flags, message):
         inp = write(tmp_path / "g.tsv", TWO_SOURCES)
         hf = write(tmp_path / "h.tsv", "u\t0\nx\t1\nv\t1\nw\t2\n")
-        argv = ["symmetrize", "-i", inp] + [f.format(hf=hf) for f in flags]
-        assert main(argv) == 0
-        warned = [l for l in capsys.readouterr().err.splitlines()
-                  if not l.startswith("nodes=")]
-        assert len(warned) == 1 and warned[0].startswith(message)
-        assert "reachsym" not in warned[0] and ".py" not in warned[0]
-
-    def test_warning_line_from_python_m(self, tmp_path):
-        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "reachsym", "symmetrize",
-                               "--hub-cap", "1", "-i", inp], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=path),
-                              timeout=120)
+        argv = ["symmetrize", "-i", inp] + [f.format(hf=hf) for f in flags]
+        proc = subprocess.run([sys.executable, "-m", "reachsym", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 2 and lines[1].startswith("nodes=")
-        assert lines[0] == "warning: hub cap 1: skipping 1 common-neighbor node(s)"
+        assert lines[0].startswith(message)
+        assert "reachsym" not in lines[0] and ".py" not in lines[0]
+
+    def test_enclosing_recorder_still_gets_warnings(self, tmp_path, capsys):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        before = warnings.formatwarning
+        with pytest.warns(UserWarning, match="hub cap 1"):
+            assert main(["symmetrize", "--hub-cap", "1", "-i", inp]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert warnings.formatwarning is before
 
     @pytest.mark.filterwarnings("error::UserWarning")
     def test_warning_filters_in_force_still_apply(self, tmp_path):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reachsym import (DirectedGraph, ParseError, SimilarityAccumulator,
@@ -191,14 +191,23 @@ class TestWriteUndirected:
         writer(pairs, labels, buf, precision=precision)
         return buf.getvalue()
 
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
-                              st.floats(0, 1e12)), max_size=20),
-           st.integers(0, 17))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_fstring_reference(self, edges, precision):
-        pairs, labels = self.make(edges, ["a", "b", "é", "节点", "#x"])
-        assert self.text(write_undirected, pairs, labels, precision) == \
-            self.text(write_undirected_by_fstrings, pairs, labels, precision)
+    @given(st.integers(0, 17).flatmap(lambda p: st.tuples(st.just(p), st.lists(
+               st.tuples(st.integers(0, 4), st.integers(0, 4),
+                         st.one_of(st.floats(0, 1e12), _boundary_weights(p))),
+               max_size=30))),
+           st.sampled_from([1, 2, 3, graph._WRITE_CHUNK]),
+           st.sampled_from([np.float64, np.float32]))
+    # Weights left to `%` (ties, a negative, NaN) first and last in a slice.
+    @example((1, [(0, 1, 0.05), (1, 2, 0.3), (2, 3, -1.0), (3, 4, np.nan),
+                  (0, 2, 0.25), (1, 3, 0.15)]), 3, np.float64)
+    @settings(max_examples=800, deadline=None)
+    def test_matches_fstring_reference(self, edges_at_precision, chunk, dtype):
+        precision, edges = edges_at_precision
+        pairs, labels = self.make(edges, _LABELS)
+        pairs.w = pairs.w.astype(dtype)
+        with mock.patch.object(graph, "_WRITE_CHUNK", chunk):
+            assert self.text(write_undirected, pairs, labels, precision) == \
+                self.text(write_undirected_by_fstrings, pairs, labels, precision)
 
     def test_more_than_one_slice_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -211,58 +220,31 @@ class TestWriteUndirected:
             assert self.text(write_undirected, pairs, labels, precision) == \
                 self.text(write_undirected_by_fstrings, pairs, labels, precision)
 
-    def matches_reference(self, w, labels, precision):
-        """Pairs with weights ``w`` over ``labels`` write as ``%`` does."""
-        m = len(w)
-        pairs = SimilarityAccumulator(len(labels), np.arange(m) % len(labels),
-                                      np.arange(m) * 7 % len(labels),
-                                      np.asarray(w, dtype=np.float64))
+    @pytest.mark.parametrize("extra", [
+        ["x\0y"], ["z" * 10_000], [f"{'w' * 63}{i}" for i in range(9)],
+        [f"{'w' * 64}{i}" for i in range(9)]], ids=["nul", "10kB", "64B", "65B"])
+    @pytest.mark.parametrize("precision", [0, 6, 17])
+    def test_label_edge_cases(self, extra, precision):
+        labels = _LABELS + extra
+        w = np.r_[np.random.default_rng(3).random(40) * 1e3, 0.5, -0.0, np.nan]
+        m, n = len(w), len(labels)
+        pairs = SimilarityAccumulator(n, np.arange(m) % n, np.arange(m) * 7 % n, w)
         assert self.text(write_undirected, pairs, labels, precision) == \
             self.text(write_undirected_by_fstrings, pairs, labels, precision)
 
-    @given(st.integers(0, 17).flatmap(lambda p: st.tuples(
-               st.just(p), st.lists(_boundary_weights(p), min_size=1,
-                                    max_size=30))),
-           st.sampled_from([1, 2, 3, 7, graph._WRITE_CHUNK]))
-    @settings(max_examples=600, deadline=None)
-    def test_boundary_weights(self, pw, chunk):
-        precision, w = pw
-        with mock.patch.object(graph, "_WRITE_CHUNK", chunk):
-            self.matches_reference(w, _LABELS, precision)
-
-    @pytest.mark.parametrize("extra", [
-        ["x\0y"], ["z" * 10_000], [f"{'w' * 250}{i}" for i in range(9)]],
-        ids=["nul", "10kB", "wide"])
-    @pytest.mark.parametrize("precision", [0, 6, 17])
-    def test_label_edge_cases(self, extra, precision):
-        rng = np.random.default_rng(3)
-        self.matches_reference(np.r_[rng.random(40) * 1e3, 0.5, -0.0, np.nan],
-                               _LABELS + extra, precision)
-
     def test_which_labels_get_a_table(self):
-        # NUL would be compressed out of a record, and a long label widens
-        # every record and the whole table.
+        # NUL would be compressed out of a record; past 64 bytes `%` is the
+        # faster writer; one long label would widen the whole table.
         many = [str(i) for i in range(100)]
         assert graph._label_table(many + ["x\0y"]) is None
         assert graph._label_table(many + ["z" * 10_000]) is None
-        assert graph._label_table(many + ["z" * 100]) is None
-        wide = [f"{'w' * 250}{i}" for i in range(9)]
-        assert graph._label_table(wide).dtype.itemsize == 251
-        assert graph._label_table([s + "w" * 50 for s in wide]) is None
+        assert graph._label_table(many + ["z" * 60]) is None
+        wide = [f"{'w' * 63}{i}" for i in range(9)]
+        assert graph._label_table(wide).dtype.itemsize == 64
+        assert graph._label_table([s + "w" for s in wide]) is None
         for labels in (_LABELS, ["abc", "de", "f"]):
             assert graph._label_table(labels).tolist() == \
                 [s.encode() for s in labels]
-
-    @pytest.mark.parametrize("chunk", [1, 2, 3])
-    @pytest.mark.parametrize("precision", [0, 1, 6])
-    def test_fallback_rows_at_slice_ends(self, monkeypatch, chunk, precision):
-        monkeypatch.setattr(graph, "_WRITE_CHUNK", chunk)
-        boundary = 0.5 / 10 ** precision
-        rng = np.random.default_rng(chunk)
-        for bad in (boundary, -1.0, np.nan):
-            w = rng.random(4 * chunk + 1)
-            w[[0, chunk - 1, chunk, 2 * chunk - 1, -1]] = bad
-            self.matches_reference(w, _LABELS, precision)
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
                               st.floats(0.001, 100)), max_size=20))
