@@ -248,7 +248,11 @@ def main(argv=None) -> int:
 def entrypoint() -> None:
     # Stdout carries the same UTF-8 bytes as -o, whatever the locale says.
     sys.stdout.reconfigure(encoding="utf-8")
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except Warning as e:  # made an error by a filter such as -W error
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,7 @@ backed by a CSR adjacency matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,57 +86,99 @@ def _line_error(parts: list[str], line_no: int, weighted: bool) -> None:
                 f"line {line_no}: edge weight must be finite and > 0, got {parts[2]}")
 
 
-def load_edge_list(stream: Iterable[str], weighted: bool = False) -> DirectedGraph:
+def load_edge_list(stream: IO[str], weighted: bool = False) -> DirectedGraph:
     """Parse a TSV edge list: ``src<TAB>dst[<TAB>weight]``, ``#`` comments.
 
-    Nodes are interned in first-appearance order.  Duplicate directed edges
-    collapse (weights summed when ``weighted``, unit otherwise); self-loops
-    are dropped and counted.  A malformed line raises the error of the first
-    such line, with its 1-based line number.
+    The text stream is read whole; lines split at ``\\n`` and lose their
+    trailing ``\\r``s.  Nodes are interned in first-appearance order, labels
+    compared byte for byte.  Duplicate directed edges collapse (weights summed
+    when ``weighted``, unit otherwise); self-loops are dropped and counted.  A
+    malformed line raises the error of the first such line, with its 1-based
+    line number.
     """
-    lines = list(map(str.rstrip, map(str.rstrip, stream, repeat("\n")),
-                     repeat("\r")))
-    is_data = np.fromiter(map(bool, lines), bool, len(lines))
-    is_data &= ~np.fromiter(map(str.startswith, lines, repeat("#")), bool,
-                            len(lines))
-    data = list(compress(lines, is_data.tolist()))
-    del lines
-    # All data lines split at once: line i's fields are
-    # tokens[starts[i]:starts[i] + tabs[i] + 1].
-    tabs = np.fromiter(map(str.count, data, repeat("\t")), np.int64, len(data))
-    starts = np.zeros(len(data), dtype=np.int64)
-    np.cumsum(tabs[:-1] + 1, out=starts[1:])
-    data = "\t".join(data)
-    tokens = np.array(data.split("\t"), dtype=object)
-    del data
-    # Checks over all lines at once; only if one fails are the lines walked
-    # in order, to raise the first line's error.
-    ok = bool((tabs >= (2 if weighted else 1)).all())
-    if ok:
-        ends = tokens[(starts[:, None] + np.arange(2)).ravel()].tolist()
-        ok = "" not in ends  # ends is src0, dst0, src1, dst1, ...
+    raw = stream.read().encode("utf-8", "surrogatepass") + b"\n"
+    b = np.frombuffer(raw, dtype=np.uint8)
+    # Line i is b[start[i]:end[i]], its trailing run of \r cut off.
+    end = np.flatnonzero(b == 10)
+    start = np.r_[0, end[:-1] + 1]
+    cr = np.flatnonzero(b == 13)
+    run_start = np.maximum.accumulate(np.where(np.diff(cr, prepend=-2) > 1,
+                                               cr, 0))
+    hit = np.flatnonzero(b[end - 1] == 13)
+    end[hit] = run_start[np.searchsorted(cr, end[hit] - 1)]
+    is_data = (end > start) & (b[start] != ord("#"))
+    start, end = start[is_data], end[is_data]
+    # Checks over all lines at once; only if one fails are the lines decoded
+    # and walked in order, to raise the first line's error.
+    tab = np.r_[np.flatnonzero(b == 9), len(b)]
+    lo = np.searchsorted(tab, start)
+    ok = bool((np.searchsorted(tab, end) - lo > weighted).all())
+    if ok:  # fields 0 and 1 of each line, interleaved: src0, dst0, src1, ...
+        fs = np.c_[start, tab[lo] + 1].ravel()
+        fe = np.c_[tab[lo], np.minimum(tab[lo + 1], end)].ravel()
+        ok = bool((fe > fs).all())
     w = None
     if ok and weighted:
         try:
-            w = np.fromiter(map(float, tokens[starts + 2].tolist()), np.float64,
-                            len(starts))
+            w = np.fromiter(map(float, _ranges(b, tab[lo + 1] + 1, np.minimum(
+                tab[lo + 2], end))), np.float64, len(start))
             ok = bool((np.isfinite(w) & (w > 0)).all())
         except ValueError:
             ok = False
     if not ok:
-        line_nos = np.flatnonzero(is_data) + 1
-        for s, t, line_no in zip(starts.tolist(), tabs.tolist(), line_nos.tolist()):
-            _line_error(tokens[s:s + t + 1].tolist(), line_no, weighted)
-    del tokens
-    index: dict[str, int] = {}
-    ids = np.fromiter([index.setdefault(t, len(index)) for t in ends],
-                      np.int64, len(ends))
-    del ends
-    # Fresh copies of the labels: the interned tokens lie scattered among the
-    # freed duplicates and would keep all of that memory resident.
-    labels = "\t".join(index).split("\t") if index else []
-    del index
+        for line, line_no in zip(_ranges(b, start, end),
+                                 (np.flatnonzero(is_data) + 1).tolist()):
+            _line_error(line.split("\t"), line_no, weighted)
+    ids, firsts = _intern(raw, b, fs, fe - fs) if len(start) else (fs, fs)
+    labels = _ranges(b, fs[firsts], fe[firsts])
+    del raw, b, start, end, tab, lo, fs, fe  # not held while the CSR is built
     return _build_graph(labels, ids[0::2], ids[1::2], w, weighted)
+
+
+# Tokens over this many bytes are interned by a dict: from about 48 bytes on
+# it is faster than the padded table.
+_TABLE_WIDTH = 40
+
+
+def _intern(raw: bytes, b: np.ndarray, starts: np.ndarray,
+            lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids in first-appearance order of the tokens ``b[starts:starts + lens]``
+    (``raw`` holds ``b``'s bytes), and each id's first token, from one sort
+    of the tokens' NUL-padded bytes."""
+    # Each token takes 2 or more input bytes: the table stays within 4x them.
+    cap = 8 * min(_TABLE_WIDTH // 8, len(b) // (2 * len(lens)))
+    wide = np.flatnonzero(lens > cap)
+    width = -(-int(lens[lens <= cap].max(initial=1)) // 8) * 8
+    keys = _pad_table(b, starts, lens, width).view(np.uint64)
+    index: dict[bytes, int] = {}
+    keys[wide] = 0
+    keys[wide, 0] = [index.setdefault(raw[s:s + n], len(index)) for s, n
+                     in zip(starts[wide].tolist(), lens[wide].tolist())]
+    keys = keys.T
+    if len(wide) or (b[starts + lens - 1] == 0).any():
+        # Lengths tell "a" from "a\0", and a wide token from a short one.
+        keys = np.vstack([keys, lens.astype(np.uint64)])
+    order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
+    sk = keys[:, order]
+    new = np.r_[True, (sk[:, 1:] != sk[:, :-1]).any(axis=0)]
+    firsts = np.minimum.reduceat(order, np.flatnonzero(new))
+    rank = np.empty_like(firsts)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    ids = np.empty_like(order)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, np.sort(firsts)
+
+
+def _ranges(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> list[str]:
+    """The texts ``b[s[i]:e[i]]`` of ascending ranges, each followed by a
+    byte in no range."""
+    mark = np.zeros(len(b) + 1, dtype=np.int8)
+    mark[s] += 1
+    mark[e + 1] -= 1
+    out = b.copy()
+    out[e] = ord("\n")
+    text = out[np.cumsum(mark[:-1], dtype=np.int8).view(bool)].tobytes()
+    return text.decode("utf-8", "surrogatepass").split("\n")[:-1]
 
 
 def graph_from_pairs(pairs, n: int | None = None, weights=None) -> DirectedGraph:
@@ -197,13 +238,21 @@ def _label_table(labels: list[str]) -> np.ndarray | None:
     if (len(ends) != len(labels) or width > 64
             or len(labels) * width > 4 * len(text)):
         return None
+    return _pad_table(buf, starts, lens, width).view(f"S{width}").ravel()
+
+
+def _pad_table(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+               width: int) -> np.ndarray:
+    """Row i is ``buf[starts[i]:starts[i] + lens[i]]``, cut or NUL-padded to
+    ``width`` bytes."""
     # Filled column by column: no index array per byte, which would raise
     # the run's peak memory.
-    table = np.zeros((len(labels), width), dtype=np.uint8)
+    table = np.zeros((len(starts), width), dtype=np.uint8)
+    short = int(lens.min())
     for j in range(width):
-        has = slice(None) if j < lens.min() else np.flatnonzero(lens > j)
+        has = slice(None) if j < short else np.flatnonzero(lens > j)
         table[has, j] = buf[starts[has] + j]
-    return table.view(f"S{width}").ravel()
+    return table
 
 
 def _format_records(table: np.ndarray, u, v, w, precision: int) -> str | None:

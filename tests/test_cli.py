@@ -321,6 +321,18 @@ class TestRejectedInputs:
         with pytest.raises(UserWarning, match="hub cap"):
             main(["symmetrize", "--hub-cap", "1", "-i", inp])
 
+    def test_warning_made_an_error_by_w_error_is_one_error_line(self, tmp_path):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "reachsym",
+                               "symmetrize", "--hub-cap", "1", "-i", inp],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [
+            "error: hub cap 1: skipping 1 common-neighbor node(s)"]
+
     @pytest.mark.filterwarnings("error")
     def test_hierarchy_score_range_overflowing_a_double(self, tmp_path, capsys):
         inp = write(tmp_path / "g.tsv", TWO_SOURCES)

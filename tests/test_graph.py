@@ -1,4 +1,6 @@
 import io
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ from reachsym import (DirectedGraph, ParseError, SimilarityAccumulator,
                       ValidationError, condensation, graph_from_pairs,
                       load_edge_list, write_undirected)
 
-from reachsym import graph
+from reachsym import cli, graph
 from conftest import (digraphs, load_edge_list_by_lines, random_digraph,
                       reach_by_matrix_powers, write_undirected_by_fstrings)
 from reference import in_neighbors, out_neighbors, reach_rows, read_undirected
@@ -82,9 +84,12 @@ class TestLoadEdgeList:
 
 # Few distinct fields, so duplicate edges, self-loops and every error are
 # frequent; 0.1/0.2/0.3 sum differently in different orders.
-_LABEL = st.sampled_from(["a", "b", "c", "é", "节点", "", " ", "#a"])
+# Labels over 8 bytes, with an interior \r, and "a" beside "a\0", which pad
+# alike; weights that only Python's float() reads.
+_LABEL = st.sampled_from(["a", "b", "c", "é", "节点", "", " ", "#a", "a" * 9,
+                          "节点节点", "a\rb", "a\0", "\0"])
 _WEIGHT = st.sampled_from(["1", "0.1", "0.2", "0.3", "1e-300", "2.5", "0", "-1",
-                           "nan", "inf", "x", "", " 3 "])
+                           "nan", "inf", "x", "", " 3 ", "１", "1_0"])
 _LINE = st.one_of(
     st.just(""),
     st.lists(_LABEL | _WEIGHT, max_size=3).map(lambda f: "#" + "\t".join(f)),
@@ -93,9 +98,17 @@ _LINE = st.one_of(
 
 
 def parsed(parse, text, weighted):
-    """Labels, CSR arrays and loop count, or the error's type and text."""
+    """Labels, CSR arrays and loop count, or the error's type and text.
+    Lines split at ``\\n`` only, as ``load_edge_list`` splits them."""
+    return outcome(lambda: parse(io.StringIO(text, newline="\n"),
+                                 weighted=weighted))
+
+
+def outcome(run):
+    """Labels, CSR arrays and loop count of ``run()``, or the error's type
+    and text."""
     try:
-        g = parse(io.StringIO(text, newline=""), weighted=weighted)
+        g = run()
     except (ParseError, ValidationError) as e:
         return type(e), str(e)
     labels, adj, loops = ((g.labels, g.adj, g.self_loops_dropped)
@@ -105,13 +118,51 @@ def parsed(parse, text, weighted):
 
 
 class TestLoadMatchesLineByLine:
-    @given(st.lists(_LINE, max_size=12), st.sampled_from(["\n", "\r\n"]),
+    @given(st.lists(_LINE, max_size=12),
+           st.sampled_from(["\n", "\r\n", "\r\r\n"]), st.booleans(),
            st.booleans(), st.booleans())
     @settings(max_examples=400, deadline=None)
-    def test_same_graph_or_same_error(self, lines, eol, last_eol, weighted):
-        text = eol.join(lines) + (eol if last_eol else "")
+    def test_same_graph_or_same_error(self, lines, eol, last_eol, weighted,
+                                      bom):
+        # A BOM is part of the first label: the input is utf-8, not utf-8-sig.
+        text = "\ufeff" * bom + eol.join(lines) + (eol if last_eol else "")
         assert parsed(load_edge_list, text, weighted) == \
             parsed(load_edge_list_by_lines, text, weighted)
+
+    @given(st.lists(_LINE, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]),
+           st.booleans(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_file_through_the_cli_reader(self, lines, eol, last_eol, weighted):
+        """A file opened as the CLI opens it, with universal newlines: a lone
+        ``\\r`` ends a line there."""
+        text = eol.join(lines) + (eol if last_eol else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.tsv")
+            with open(path, "wb") as f:
+                f.write(text.encode("utf-8", "surrogatepass"))
+            assert outcome(lambda: cli._parse_file(
+                path, load_edge_list, weighted=weighted)) == \
+                outcome(lambda: cli._parse_file(
+                    path, load_edge_list_by_lines, weighted=weighted))
+
+    @pytest.mark.parametrize("pad, long", [
+        (1, ["x" * 10_000]),
+        (1, ["x" * 10_000, "x" * 10_000, "x" * 9_999 + "y", "y" * 41, "节" * 14]),
+        (30, ["x" * 10_000, "y" * 41, "y" * 40])])
+    def test_long_labels_among_short_ones(self, pad, long):
+        """Labels too wide for the padded table are interned apart: the table
+        keeps to the token width cap and to 4x the input's bytes."""
+        short = [str(i % 300).rjust(pad, "s") for i in range(5000)]
+        labels = short[:2000] + long + short[2000:]
+        text = "".join(f"{a}\t{b}\n" for a, b in zip(labels, labels[::-1]))
+        with mock.patch.object(graph, "_pad_table",
+                               wraps=graph._pad_table) as spy:
+            got = parsed(load_edge_list, text, False)
+        (_, starts, _, width), _ = spy.call_args
+        assert width <= graph._TABLE_WIDTH
+        assert len(starts) * width <= 4 * len(text.encode())
+        assert got == parsed(load_edge_list_by_lines, text, False)
+        assert set(long) <= set(got[0])
 
     def test_duplicate_weights_sum_in_line_order(self):
         fwd = load("a\tb\t0.1\na\tb\t0.2\na\tb\t0.3", weighted=True)
