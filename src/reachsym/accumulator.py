@@ -7,14 +7,19 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def index_dtype(n: int) -> np.dtype:
+    """Node index dtype, scipy's rule: int32 while every index fits."""
+    return np.dtype(np.int32 if n < 2 ** 31 else np.int64)
+
+
 @dataclass
 class SimilarityAccumulator:
     """Map from canonical pairs (u < v) of ``n`` nodes to their weight.
 
-    Stored as parallel arrays sorted lexicographically by (u, v); weights are
-    nonnegative and exact zeros are absent.  Backed by upper-triangular sparse
-    matrices so pair volumes in the millions stay cheap.  Node labels stay
-    with the ``DirectedGraph`` the pairs came from.
+    Stored as parallel arrays sorted by (u, v), nodes in ``index_dtype(n)``;
+    weights are nonnegative and exact zeros are absent.  Backed by upper-
+    triangular sparse matrices so pair volumes in the millions stay cheap.
+    Node labels stay with the ``DirectedGraph`` the pairs came from.
     """
 
     n: int
@@ -24,7 +29,7 @@ class SimilarityAccumulator:
 
     @classmethod
     def empty(cls, n: int) -> "SimilarityAccumulator":
-        z = np.empty(0, dtype=np.int64)
+        z = np.empty(0, dtype=index_dtype(n))
         return cls(n, z, z.copy(), np.empty(0, dtype=np.float64))
 
     def __len__(self) -> int:
@@ -68,9 +73,9 @@ class SimilarityAccumulator:
             raise ValueError("accumulator sizes differ")
         total = self.to_matrix() + other.to_matrix()
         total.eliminate_zeros()
-        u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(total.indptr))
-        return SimilarityAccumulator(self.n, u, total.indices.astype(np.int64),
-                                     total.data)
+        v = total.indices.astype(index_dtype(self.n), copy=False)
+        u = np.repeat(np.arange(self.n, dtype=v.dtype), np.diff(total.indptr))
+        return SimilarityAccumulator(self.n, u, v, total.data)
 
     def select(self, keep: np.ndarray) -> "SimilarityAccumulator":
         """The pairs where the boolean mask ``keep`` is true.  When it keeps

@@ -98,9 +98,12 @@ def load_edge_list(stream: IO[str], weighted: bool = False) -> DirectedGraph:
     """
     raw = stream.read().encode("utf-8", "surrogatepass") + b"\n"
     b = np.frombuffer(raw, dtype=np.uint8)
-    # Line i is b[start[i]:end[i]], its trailing run of \r cut off.
-    end = np.flatnonzero(b == 10)
-    start = np.r_[0, end[:-1] + 1]
+    # Non-empty line i is b[start[i]:end[i]], its trailing run of \r cut
+    # off; blank lines, found byte by byte, get no entry.
+    nl = np.r_[True, b == 10]  # nl[p]: byte p - 1 is a newline, or p is 0
+    start = np.flatnonzero(nl[:-1] & ~nl[1:])
+    end = np.flatnonzero(nl[1:] & ~nl[:-1])
+    del nl
     cr = np.flatnonzero(b == 13)
     run_start = np.maximum.accumulate(np.where(np.diff(cr, prepend=-2) > 1,
                                                cr, 0))
@@ -126,8 +129,8 @@ def load_edge_list(stream: IO[str], weighted: bool = False) -> DirectedGraph:
         except ValueError:
             ok = False
     if not ok:
-        for line, line_no in zip(_ranges(b, start, end),
-                                 (np.flatnonzero(is_data) + 1).tolist()):
+        line_nos = np.searchsorted(np.flatnonzero(b == 10), start) + 1
+        for line, line_no in zip(_ranges(b, start, end), line_nos.tolist()):
             _line_error(line.split("\t"), line_no, weighted)
     ids, firsts = _intern(raw, b, fs, fe - fs) if len(start) else (fs, fs)
     labels = _ranges(b, fs[firsts], fe[firsts])

@@ -117,9 +117,12 @@ def pair_hierarchy_discount(acc: SimilarityAccumulator, h: HierarchyScores,
     """Divide each pair weight by (1 + |h(u) - h(v)|)^gamma."""
     if gamma < 0:
         raise ValidationError("gamma must be ≥ 0")
-    s = h.score
-    factors = (1.0 + np.abs(s[acc.u] - s[acc.v])) ** -gamma
-    w = acc.w * factors
+    w = h.score[acc.u]  # in place from here, the same operations and bits
+    w -= h.score[acc.v]
+    np.abs(w, out=w)
+    w += 1.0
+    w **= -gamma
+    w *= acc.w
     return SimilarityAccumulator(acc.n, acc.u, acc.v, w).select(w != 0.0)
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .accumulator import SimilarityAccumulator
+from .accumulator import SimilarityAccumulator, index_dtype
 from .closure import LocalClosure, _check_depth, local_closure, weighted_closure
 from .graph import DirectedGraph, ValidationError
 from .hierarchy import HierarchyScores, neighbor_discount_data, pair_hierarchy_discount
@@ -81,10 +81,10 @@ def _row_blocks(R: sp.csr_matrix) -> np.ndarray:
 
     A row's work is the flop count of its product row: the summed column
     counts of its entries.  About sqrt(work / (0.4 nnz)) blocks balance the
-    lower triangle that each extra block skips against the O(nnz) transpose
-    it costs; on small inputs a block's fixed cost of scipy calls, about
-    2^15 flops' worth, takes the place of the transpose.  A row heavier
-    than one block's share gets a block to itself.
+    lower triangle that each extra block skips against the O(nnz) pass over
+    the rows below it that it costs; on small inputs a block's fixed cost of
+    scipy calls, about 2^15 flops' worth, takes the place of that pass.  A
+    row heavier than one block's share gets a block to itself.
     """
     n = R.shape[0]
     cols = np.bincount(R.indices, minlength=R.shape[1])
@@ -101,10 +101,12 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
     """Canonical pairs of P = diag(outer) Rd diag(inner) Rd^T diag(outer),
     where Rd is R with optional per-entry discount factors multiplied in.
 
-    P is symmetric, so row block [r0, r1) (from _row_blocks) is multiplied
-    only against rows r0: of the right factor and its strict upper triangle
-    kept.  Every entry still sums its terms in full-row order, so the
-    weights are bit-identical to those of a full product.
+    P is symmetric, so row block [r0, r1) (from _row_blocks) is computed
+    only against rows r0:, as right[r0:] @ left[r0:r1]^T over a view of R's
+    arrays; its CSC form holds the block's rows with sorted columns, and the
+    strict upper triangle is kept.  Entry (i, j) sums right[j, k] * left[i, k]
+    over ascending k: the terms of a full left @ right^T in the same order,
+    and IEEE products commute, so the weights are bit-identical to it.
     """
     n = R.shape[0]
     rows = np.repeat(np.arange(n), np.diff(R.indptr))
@@ -113,21 +115,22 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
         base = base * disc
     left = sp.csr_matrix((base * inner[R.indices], R.indices, R.indptr),
                          shape=R.shape)
-    right = sp.csr_matrix((base, R.indices, R.indptr), shape=R.shape)
 
     us, vs, ws = [], [], []
     bounds = _row_blocks(R)
     for r0, r1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        prod = left[r0:r1] @ right[r0:].T.tocsr()
-        prod.sort_indices()
-        block = prod.tocoo()
-        keep = (block.col > block.row) & (block.data != 0.0)
-        us.append(block.row[keep].astype(np.int64) + r0)
-        vs.append(block.col[keep].astype(np.int64) + r0)
+        p0 = R.indptr[r0]
+        right = sp.csr_matrix((base[p0:], R.indices[p0:], R.indptr[r0:] - p0),
+                              shape=(n - r0, n))
+        block = (right @ left[r0:r1].T).tocsc()
+        row = np.repeat(np.arange(r1 - r0, dtype=index_dtype(n)), np.diff(block.indptr))
+        keep = (block.indices > row) & (block.data != 0.0)
+        us.append(row[keep] + r0)
+        vs.append(np.add(block.indices[keep], r0, dtype=row.dtype))
         ws.append(block.data[keep])
     if not us:
         return SimilarityAccumulator.empty(n)
-    # blocks are row-major and each CSR row has sorted columns, so the
+    # blocks are row-major and each CSC column has sorted rows, so the
     # concatenation is already in canonical (u, v) order
     return SimilarityAccumulator(n, np.concatenate(us), np.concatenate(vs),
                                  np.concatenate(ws))
@@ -227,26 +230,22 @@ def sparsify_top_t(pairs: SimilarityAccumulator, t: int) -> SimilarityAccumulato
     m = len(pairs.w)
     if m == 0:
         return pairs
-    # Symmetric adjacency U + U^T holding edge id + 1 (the sum would drop an
-    # explicit 0); the halves never overlap.  The ids take the narrowest
-    # dtype that holds m: U + U^T is this step's memory peak.  The tie rule
-    # needs partners ascending within each row.
-    ids = np.arange(1, m + 1, dtype=np.min_scalar_type(m))
+    # Row r of the symmetric adjacency is column r of the upper triangle U
+    # (built over edge ids) then row r of U, a range of the canonical pairs:
+    # its partners ascend, as the tie rule needs.
+    ids = np.arange(m, dtype=index_dtype(m))
     upper = SimilarityAccumulator(pairs.n, pairs.u, pairs.v, ids).to_matrix()
-    sym = (upper + upper.T).tocsr()
-    del upper
-    sym.sort_indices()
-    indptr, edge = sym.indptr, sym.data - 1
-    del sym
-    w = pairs.w[edge]
-    keep = np.ones(len(edge), dtype=bool)
-    for r in np.flatnonzero(np.diff(indptr) > t).tolist():
-        row = w[indptr[r]:indptr[r + 1]]
-        tau = np.partition(row, len(row) - t)[len(row) - t]  # t-th largest
+    lower = upper.tocsc()
+    uptr, cptr, below = upper.indptr, lower.indptr, lower.data
+    del upper, lower
+    light = np.diff(uptr) + np.diff(cptr) <= t  # such a row keeps every edge
+    mask = light[pairs.u] | light[pairs.v]
+    for r in np.flatnonzero(~light).tolist():
+        edge = np.concatenate((below[cptr[r]:cptr[r + 1]], ids[uptr[r]:uptr[r + 1]]))
+        row = pairs.w[edge]
+        tau = np.partition(row, -t)[-t]  # t-th largest
         kept = row > tau
-        ties = np.flatnonzero(row == tau)[:t - np.count_nonzero(kept)]
+        ties = (row == tau).nonzero()[0][:t - np.count_nonzero(kept)]
         kept[ties] = True  # the smallest partners among the ties
-        keep[indptr[r]:indptr[r + 1]] = kept
-    mask = np.zeros(m, dtype=bool)
-    mask[edge[keep]] = True
+        mask[edge[kept]] = True
     return pairs.select(mask)

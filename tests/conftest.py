@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from reachsym import (ParseError, SimilarityAccumulator, ValidationError,
                       graph_from_pairs, pair_hierarchy_discount, sparsify_top_t)
+from reachsym.accumulator import index_dtype
 from reachsym.similarity import _degree_discount
 from reference import dense_closure, dense_similarity
 
@@ -25,6 +27,28 @@ def digraphs(draw, min_n=1, max_n=10, max_edges=30):
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
         max_size=max_edges))
     return graph_from_pairs(edges, n=n)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak, in bytes, of what the call
+    allocated."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_pairs(n, draws, seed):
+    """Canonical pairs of ``n`` nodes in the accumulator's index dtype, from
+    ``draws`` uniform (u, v) draws (self-pairs, duplicates and u > v
+    dropped), with uniform random weights."""
+    rng = np.random.default_rng(seed)
+    u, v = np.divmod(np.unique(rng.integers(0, n * n, size=draws)), n)
+    keep = u < v
+    idx = index_dtype(n)
+    return SimilarityAccumulator(n, u[keep].astype(idx), v[keep].astype(idx),
+                                 rng.random(np.count_nonzero(keep)))
 
 
 def random_digraph(rng, n, p):

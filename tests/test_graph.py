@@ -14,7 +14,8 @@ from reachsym import (DirectedGraph, ParseError, SimilarityAccumulator,
 
 from reachsym import cli, graph
 from conftest import (digraphs, load_edge_list_by_lines, random_digraph,
-                      reach_by_matrix_powers, write_undirected_by_fstrings)
+                      reach_by_matrix_powers, traced_peak,
+                      write_undirected_by_fstrings)
 from reference import in_neighbors, out_neighbors, reach_rows, read_undirected
 
 
@@ -67,6 +68,17 @@ class TestLoadEdgeList:
     def test_non_numeric_weight(self):
         with pytest.raises(ParseError, match="line 1"):
             load("a\tb\tmany", weighted=True)
+
+    def test_blank_lines_take_no_per_line_memory(self):
+        # 4.0 bytes per input byte: the text, its UTF-8 copy and byte masks;
+        # an int64 position per line would take 8 bytes per blank line more.
+        text = "a\tb\n" + "\n" * 2_000_000 + "b\tc\n"
+        stream = io.StringIO(text)
+        g, peak = traced_peak(load_edge_list, stream)
+        assert g.labels == ["a", "b", "c"] and g.edge_count == 2
+        assert peak < 5 * len(text)
+        with pytest.raises(ParseError, match="^line 2000003: expected"):
+            load(text + "c\n")
 
     def test_interning_is_first_appearance_order(self):
         g = load("z\ty\na\tz")

@@ -13,13 +13,15 @@ from reachsym import (INF, SimilarityAccumulator, SymmetrizationConfig,
                       local_closure, out_reach_similarity,
                       pair_hierarchy_discount, sparsify_top_t, symmetrize)
 from reachsym import similarity
+from reachsym.accumulator import index_dtype
 from reachsym.hierarchy import neighbor_discount_data
 from reachsym.similarity import _co_reach, _degree_discount, _row_blocks
 from reachsym.synthetic import powerlaw_digraph
 
 from conftest import (canonical_pairs, co_reach_full_rows, digraphs,
                       first_order_by_adjacency, pairs_from_matrix,
-                      random_digraph, sparsify_top_t_by_lexsort)
+                      random_digraph, random_pairs, sparsify_top_t_by_lexsort,
+                      traced_peak)
 from reference import (dense_closure, dense_similarity, out_neighbors,
                        reversed_graph)
 
@@ -283,16 +285,31 @@ class TestSparsifyTopT:
         with pytest.raises(ValidationError):
             sparsify_top_t(g, 0)
 
-    @given(canonical_pairs(), st.integers(1, 4))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_lexsort_reference(self, pairs, t):
+    @given(canonical_pairs(), st.integers(1, 4),
+           st.sampled_from([np.int64, np.int32]), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_lexsort_reference(self, pairs, t, dtype, ulps):
         n, u, v, w = pairs
-        g = SimilarityAccumulator(n, u, v, w)
+        if ulps:
+            # Weights 1 + k ulp differ only in their last bits; each row's
+            # weights are gathered through its edge ids, so a wrong id shows.
+            w = 1.0 + w * np.spacing(1.0)
+        g = SimilarityAccumulator(n, u.astype(dtype), v.astype(dtype), w)
         mask = sparsify_top_t_by_lexsort(g, t)
         out = sparsify_top_t(g, t)
-        assert out.u.tolist() == u[mask].tolist()
-        assert out.v.tolist() == v[mask].tolist()
-        assert out.w.tolist() == w[mask].tolist()
+        assert out.u.dtype == out.v.dtype == dtype
+        assert out.u.tobytes() == g.u[mask].tobytes()
+        assert out.v.tobytes() == g.v[mask].tobytes()
+        assert out.w.tobytes() == g.w[mask].tobytes()
+
+    @pytest.mark.parametrize("t", [1, 10])
+    def test_peak_memory_per_pair(self, t):
+        # 12.2 bytes per pair (edge ids and the upper triangle's transpose);
+        # a full-size copy of the weights or a U + U^T sum would exceed this.
+        g = random_pairs(2000, 400_000, 5)
+        out, peak = traced_peak(sparsify_top_t, g, t)
+        assert len(g) > 180_000 and 0 < len(out) < len(g)
+        assert peak < 15 * len(g)
 
 
 class TestNothingDropped:
@@ -330,10 +347,19 @@ class TestAccumulatorAdd:
         def coo(acc):
             return sp.csr_matrix((acc.w, (acc.u, acc.v)), shape=(n, n))
         ref = pairs_from_matrix(coo(acc_a) + coo(acc_b), n)
-        assert total.u.tolist() == ref.u.tolist()
-        assert total.v.tolist() == ref.v.tolist()
-        assert total.w.tolist() == ref.w.tolist()
-        assert total.u.dtype == total.v.dtype == np.int64
+        idx = index_dtype(n)
+        assert total.u.dtype == total.v.dtype == idx
+        assert total.u.tobytes() == ref.u.astype(idx).tobytes()
+        assert total.v.tobytes() == ref.v.astype(idx).tobytes()
+        assert total.w.tobytes() == ref.w.tobytes()
+
+    def test_peak_memory_per_input_pair(self):
+        # 15.9 bytes per input pair (the sum's indices and weights, sized
+        # for both inputs, and the new u); int64 indices would exceed this.
+        a, b = random_pairs(2000, 400_000, 6), random_pairs(2000, 400_000, 7)
+        total, peak = traced_peak(a.add, b)
+        assert len(a) + len(b) > 360_000 and len(total) > len(a)
+        assert peak < 20 * (len(a) + len(b))
 
 
 class TestOracleAgreement:
@@ -377,9 +403,10 @@ def one_row_blocks(R):
 
 
 def assert_bit_equal(got, ref):
-    assert got.u.dtype == got.v.dtype == np.int64
-    assert got.u.tobytes() == ref.u.tobytes()
-    assert got.v.tobytes() == ref.v.tobytes()
+    idx = index_dtype(got.n)
+    assert got.u.dtype == got.v.dtype == idx
+    assert got.u.tobytes() == ref.u.astype(idx).tobytes()
+    assert got.v.tobytes() == ref.v.astype(idx).tobytes()
     assert got.w.tobytes() == ref.w.tobytes()
 
 
