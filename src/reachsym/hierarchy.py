@@ -112,13 +112,17 @@ def load_hierarchy(stream: Iterable[str], g: DirectedGraph) -> HierarchyScores:
     return HierarchyScores(_normalize(raw))
 
 
+_SLICE = 1 << 16  # pairs per gather of the v-side scores
+
+
 def pair_hierarchy_discount(acc: SimilarityAccumulator, h: HierarchyScores,
                             gamma: float) -> SimilarityAccumulator:
     """Divide each pair weight by (1 + |h(u) - h(v)|)^gamma."""
     if gamma < 0:
         raise ValidationError("gamma must be ≥ 0")
     w = h.score[acc.u]  # in place from here, the same operations and bits
-    w -= h.score[acc.v]
+    for s in range(0, len(w), _SLICE):
+        w[s:s + _SLICE] -= h.score[acc.v[s:s + _SLICE]]
     np.abs(w, out=w)
     w += 1.0
     w **= -gamma

@@ -131,9 +131,13 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
     if not us:
         return SimilarityAccumulator.empty(n)
     # blocks are row-major and each CSC column has sorted rows, so the
-    # concatenation is already in canonical (u, v) order
-    return SimilarityAccumulator(n, np.concatenate(us), np.concatenate(vs),
-                                 np.concatenate(ws))
+    # concatenation is already in canonical (u, v) order; each list is freed
+    # once joined, so the peak stays near 1.5x the result
+    u = np.concatenate(us)
+    del us
+    v = np.concatenate(vs)
+    del vs
+    return SimilarityAccumulator(n, u, v, np.concatenate(ws))
 
 
 def out_reach_similarity(c: LocalClosure, cfg: SymmetrizationConfig,
@@ -222,30 +226,82 @@ def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
     return acc
 
 
+# sparsify_top_t works in chunks of m / 16 cells (threshold blocks) or pairs
+# (keep slices), so that a chunk stays small beside the pair arrays, but of at
+# least 2^14, so that a chunk's dozen numpy calls stay cheap, and at most this.
+_TOP_T_CHUNK = 1 << 22
+
+
 def sparsify_top_t(pairs: SimilarityAccumulator, t: int) -> SimilarityAccumulator:
     """Keep each edge iff it ranks in the top t by weight for either endpoint
-    (union semantics); ties broken toward the smaller partner index."""
+    (union semantics); ties broken toward the smaller partner index.
+
+    Node r's threshold tau[r] is the t-th largest weight among its partners
+    (-inf for at most t).  An edge is kept when its weight exceeds tau at
+    either end, and so are the first t - #{weight > tau[r]} partners of r,
+    by index, whose weight equals tau[r].
+    """
     if t < 1:
         raise ValidationError("top_t must be ≥ 1")
-    m = len(pairs.w)
-    if m == 0:
-        return pairs
+    m, n, w = len(pairs.w), pairs.n, pairs.w
+    cells = min(_TOP_T_CHUNK, max(m // 16, 1 << 14))
     # Row r of the symmetric adjacency is column r of the upper triangle U
-    # (built over edge ids) then row r of U, a range of the canonical pairs:
-    # its partners ascend, as the tie rule needs.
-    ids = np.arange(m, dtype=index_dtype(m))
-    upper = SimilarityAccumulator(pairs.n, pairs.u, pairs.v, ids).to_matrix()
+    # (from its CSC form) and row r of U, a range of the canonical pairs.
+    upper = pairs.to_matrix()
     lower = upper.tocsc()
     uptr, cptr, below = upper.indptr, lower.indptr, lower.data
     del upper, lower
-    light = np.diff(uptr) + np.diff(cptr) <= t  # such a row keeps every edge
-    mask = light[pairs.u] | light[pairs.v]
-    for r in np.flatnonzero(~light).tolist():
-        edge = np.concatenate((below[cptr[r]:cptr[r + 1]], ids[uptr[r]:uptr[r + 1]]))
-        row = pairs.w[edge]
-        tau = np.partition(row, -t)[-t]  # t-th largest
-        kept = row > tau
-        ties = (row == tau).nonzero()[0][:t - np.count_nonzero(kept)]
-        kept[ties] = True  # the smallest partners among the ties
-        mask[edge[kept]] = True
-    return pairs.select(mask)
+    deg = np.diff(uptr) + np.diff(cptr)
+    heavy = np.flatnonzero(deg > t)
+    if not len(heavy):
+        return pairs
+    heavy = heavy[np.argsort(deg[heavy], kind="stable")]
+    tau = np.full(n, -np.inf)
+    room = np.zeros(n, dtype=np.int64)  # places left for weights equal to tau
+    # Rows of one degree class (deg in (2^(c-1), 2^c]) share blocks of at most
+    # `cells` cells, each row padded with -inf to the block's largest degree.
+    cls = np.frexp(deg[heavy] - 1)[1]
+    bounds = np.flatnonzero(np.r_[True, cls[1:] != cls[:-1], True]).tolist()
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        step = max(1, cells >> int(cls[b0]))
+        for c0 in range(b0, b1, step):
+            rows = heavy[c0:min(c0 + step, b1)]
+            width = int(deg[rows[-1]])
+            block = np.full((len(rows), width), -np.inf)
+            nlo = cptr[rows + 1] - cptr[rows]
+            _place(block, below, cptr[rows], nlo, 0)
+            _place(block, w, uptr[rows], uptr[rows + 1] - uptr[rows], nlo)
+            block.partition(width - t, axis=1)
+            tau[rows] = block[:, width - t]
+            room[rows] = t - np.count_nonzero(block[:, width - t + 1:]
+                                              > tau[rows, None], axis=1)
+    del below, block
+
+    keep = np.empty(m, dtype=bool)
+    for s in range(0, m, cells):
+        u, v, ws = pairs.u[s:s + cells], pairs.v[s:s + cells], w[s:s + cells]
+        tu, tv = tau[u], tau[v]
+        np.logical_or(ws > tu, ws > tv, out=keep[s:s + cells])
+        # In canonical order a row meets its ties by ascending partner: those
+        # below it (as v) before those above it (as u).  So each row takes
+        # its ties in (row, position) order while it has room.
+        ev, eu = np.flatnonzero(ws == tv), np.flatnonzero(ws == tu)
+        key = np.r_[v[ev], u[eu]].astype(np.int64) * len(ws) + np.r_[ev, eu]
+        row, at = np.divmod(np.sort(key), len(ws))
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        count = np.diff(first, append=len(row))
+        fits = np.arange(len(row)) - np.repeat(first, count) < room[row]
+        keep[s + at[fits]] = True
+        room[row[first]] -= count
+    return pairs.select(keep)
+
+
+def _place(block: np.ndarray, src: np.ndarray, starts: np.ndarray,
+           lens: np.ndarray, col) -> None:
+    """Copy src[starts[i]:starts[i] + lens[i]] into row i of ``block`` from
+    column col (or col[i]) on."""
+    skip = np.cumsum(lens) - lens  # values placed before row i
+    j = np.arange(skip[-1] + lens[-1])
+    width = block.shape[1]
+    at = np.arange(0, block.size, width) + col - skip
+    block.reshape(-1)[np.repeat(at, lens) + j] = src[np.repeat(starts - skip, lens) + j]

@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from reachsym import (HierarchyScores, ParseError, SymmetrizationConfig,
                       ValidationError, auto_hierarchy, graph_from_pairs,
                       load_edge_list, load_hierarchy, pair_hierarchy_discount,
                       symmetrize)
+from reachsym import hierarchy
 from reachsym.accumulator import SimilarityAccumulator
 
-from conftest import digraphs, random_digraph
+from conftest import digraphs, random_digraph, random_pairs, traced_peak
 from reference import distance_discount, out_neighbors
 
 
@@ -135,6 +137,25 @@ class TestPairHierarchyDiscount:
         assert far <= near + 1e-15
         if gamma > 1e-6 and hi > lo + 1e-9:
             assert far < near
+
+    @given(st.integers(1, 5), st.floats(0, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_sliced_bit_equal_to_one_pass(self, slice_, gamma):
+        acc = random_pairs(30, 200, 3)
+        s = np.random.default_rng(4).random(30)
+        with mock.patch.object(hierarchy, "_SLICE", slice_):
+            out = pair_hierarchy_discount(acc, HierarchyScores(s), gamma)
+        w = (np.abs(s[acc.u] - s[acc.v]) + 1.0) ** -gamma * acc.w
+        assert out.w.tobytes() == w.tobytes()
+
+    def test_peak_memory_per_pair(self):
+        # The new weights and one slice's gather: 11.1 bytes per pair; a
+        # full-size gather of the v-side scores beside them takes 16.4.
+        acc = random_pairs(2000, 400_000, 5)
+        h = HierarchyScores(np.random.default_rng(1).random(2000))
+        out, peak = traced_peak(pair_hierarchy_discount, acc, h, 1.0)
+        assert len(out) == len(acc) > 180_000
+        assert peak < 12.5 * len(acc)
 
 
 class TestDistanceDiscount:

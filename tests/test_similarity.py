@@ -302,13 +302,94 @@ class TestSparsifyTopT:
         assert out.v.tobytes() == g.v[mask].tobytes()
         assert out.w.tobytes() == g.w[mask].tobytes()
 
+    @given(canonical_pairs(max_n=16, max_pairs=80), st.integers(1, 5),
+           st.sampled_from([1, 2, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort_reference_in_tiny_chunks(self, pairs, t, chunk):
+        # Blocks of 1, 2 or 7 cells: every row gets a block of its own, or a
+        # degree class is split over several blocks.
+        n, u, v, w = pairs
+        g = SimilarityAccumulator(n, u, v, w)
+        with mock.patch.object(similarity, "_TOP_T_CHUNK", chunk):
+            self.assert_matches_reference(g, t)
+
+    def assert_matches_reference(self, g, t):
+        mask = sparsify_top_t_by_lexsort(g, t)
+        out = sparsify_top_t(g, t)
+        assert out.u.tobytes() == g.u[mask].tobytes()
+        assert out.v.tobytes() == g.v[mask].tobytes()
+        assert out.w.tobytes() == g.w[mask].tobytes()
+        return out
+
+    @pytest.mark.parametrize("t", [1, 3, 10])
+    def test_all_weights_equal(self, t):
+        # Every heavy row is settled by ties alone.
+        g = random_pairs(60, 2000, 11)
+        g = SimilarityAccumulator(g.n, g.u, g.v, np.ones(len(g)))
+        for chunk in (7, similarity._TOP_T_CHUNK):
+            with mock.patch.object(similarity, "_TOP_T_CHUNK", chunk):
+                out = self.assert_matches_reference(g, t)
+        assert 0 < len(out) < len(g)
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 22])
+    def test_hub_row_wider_than_the_rest(self, chunk):
+        # Node 0 is every node's partner; the others have a handful each.
+        g = random_pairs(400, 1500, 12)
+        hub = np.arange(1, g.n, dtype=g.u.dtype)
+        u = np.r_[np.zeros_like(hub), g.u[g.u > 0]]
+        v = np.r_[hub, g.v[g.u > 0]]
+        w = np.r_[np.random.default_rng(12).random(len(hub)), g.w[g.u > 0]]
+        g = SimilarityAccumulator(g.n, u, v, w)
+        with mock.patch.object(similarity, "_TOP_T_CHUNK", chunk):
+            for t in (1, 2, 5):
+                self.assert_matches_reference(g, t)
+
+    def test_blocks_stay_within_the_chunk(self):
+        # A block holds at most _TOP_T_CHUNK cells, or one row wider than that.
+        g = random_pairs(400, 6000, 15)
+        shapes = []
+        place = similarity._place
+
+        def spy(block, *args):
+            shapes.append(block.shape)
+            place(block, *args)
+
+        with mock.patch.object(similarity, "_TOP_T_CHUNK", 64), \
+                mock.patch.object(similarity, "_place", spy):
+            self.assert_matches_reference(g, 3)
+        assert len(set(shapes)) > 3
+        assert all(k * width <= 64 or k == 1 for k, width in shapes)
+
+    def test_t_above_every_degree_returns_the_pairs(self):
+        g = random_pairs(50, 300, 13)
+        deg = np.bincount(np.r_[g.u, g.v], minlength=g.n)
+        for t in (deg.max(), deg.max() + 5):
+            assert sparsify_top_t(g, int(t)) is g
+
+    def test_t_one(self):
+        g = random_pairs(300, 6000, 14)
+        g = SimilarityAccumulator(g.n, g.u, g.v, np.round(g.w * 4) + 1)
+        out = self.assert_matches_reference(g, 1)
+        # every node with a partner keeps at least one edge
+        assert (np.union1d(out.u, out.v) == np.union1d(g.u, g.v)).all()
+
     @pytest.mark.parametrize("t", [1, 10])
     def test_peak_memory_per_pair(self, t):
-        # 12.2 bytes per pair (edge ids and the upper triangle's transpose);
-        # a full-size copy of the weights or a U + U^T sum would exceed this.
+        # 12.1 bytes per pair (the upper triangle's transpose); a full-size
+        # copy of the weights or a U + U^T sum would exceed this.
         g = random_pairs(2000, 400_000, 5)
         out, peak = traced_peak(sparsify_top_t, g, t)
         assert len(g) > 180_000 and 0 < len(out) < len(g)
+        assert peak < 15 * len(g)
+
+    @pytest.mark.parametrize("t", [1, 10])
+    def test_peak_memory_per_pair_every_weight_tied(self, t):
+        # 12.8 bytes per pair: ties are settled slice by slice; holding the
+        # ties of all rows at once took 132.
+        g = random_pairs(2000, 400_000, 5)
+        g = SimilarityAccumulator(g.n, g.u, g.v, np.ones(len(g)))
+        out, peak = traced_peak(sparsify_top_t, g, t)
+        assert 0 < len(out) < len(g)
         assert peak < 15 * len(g)
 
 
@@ -443,6 +524,17 @@ class TestCoReachUpperTriangle:
         for d in (None, disc):
             assert_bit_equal(_co_reach(c.out_mat, outer, inner, d),
                              co_reach_full_rows(c.out_mat, outer, inner, d))
+
+    def test_peak_memory_against_its_result(self):
+        # The per-block lists are freed as they are joined: 1.73 times the
+        # result's bytes; with all three lists alive through the joins, 2.23.
+        g = powerlaw_digraph(2000, 6000, 0.45, seed=5)
+        c = local_closure(g, 2)
+        outer = _degree_discount(c.d_out_plus, 0.5)
+        inner = _degree_discount(c.d_in_plus, 0.5)
+        acc, peak = traced_peak(_co_reach, c.out_mat, outer, inner)
+        assert len(acc) > 300_000 and len(_row_blocks(c.out_mat)) > 3
+        assert peak < 1.9 * (acc.u.nbytes + acc.v.nbytes + acc.w.nbytes)
 
 
 class TestRowBlocks:
