@@ -215,7 +215,8 @@ def write_undirected(pairs: SimilarityAccumulator, labels: list[str],
     table = _label_table(labels) if len(w) else None
     names = None  # the labels as an object array, once a slice needs `%`
     for s in range(0, len(w), _WRITE_CHUNK):
-        u, v, ws = (a[s:s + _WRITE_CHUNK] for a in (pairs.u, pairs.v, w))
+        u = pairs.rows(s, s + _WRITE_CHUNK)
+        v, ws = pairs.v[s:s + _WRITE_CHUNK], w[s:s + _WRITE_CHUNK]
         text = None if table is None else _format_records(table, u, v, ws,
                                                           precision)
         if text is None:

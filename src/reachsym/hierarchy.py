@@ -112,7 +112,7 @@ def load_hierarchy(stream: Iterable[str], g: DirectedGraph) -> HierarchyScores:
     return HierarchyScores(_normalize(raw))
 
 
-_SLICE = 1 << 16  # pairs per gather of the v-side scores
+_SLICE = 1 << 15  # pairs per gather of the scores
 
 
 def pair_hierarchy_discount(acc: SimilarityAccumulator, h: HierarchyScores,
@@ -120,14 +120,15 @@ def pair_hierarchy_discount(acc: SimilarityAccumulator, h: HierarchyScores,
     """Divide each pair weight by (1 + |h(u) - h(v)|)^gamma."""
     if gamma < 0:
         raise ValidationError("gamma must be ≥ 0")
-    w = h.score[acc.u]  # in place from here, the same operations and bits
+    w = np.empty(len(acc))  # in place from here, the same operations and bits
     for s in range(0, len(w), _SLICE):
+        w[s:s + _SLICE] = h.score[acc.rows(s, s + _SLICE)]
         w[s:s + _SLICE] -= h.score[acc.v[s:s + _SLICE]]
     np.abs(w, out=w)
     w += 1.0
     w **= -gamma
     w *= acc.w
-    return SimilarityAccumulator(acc.n, acc.u, acc.v, w).select(w != 0.0)
+    return SimilarityAccumulator(acc.n, acc.indptr, acc.v, w).select(w != 0.0)
 
 
 def neighbor_discount_data(indptr: np.ndarray, indices: np.ndarray,

@@ -109,14 +109,13 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
     and IEEE products commute, so the weights are bit-identical to it.
     """
     n = R.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(R.indptr))
-    base = R.data * outer[rows]
+    base = R.data * np.repeat(outer, np.diff(R.indptr))
     if disc is not None:
         base = base * disc
     left = sp.csr_matrix((base * inner[R.indices], R.indices, R.indptr),
                          shape=R.shape)
 
-    us, vs, ws = [], [], []
+    counts, vs, ws = [], [], []
     bounds = _row_blocks(R)
     for r0, r1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         p0 = R.indptr[r0]
@@ -125,19 +124,19 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
         block = (right @ left[r0:r1].T).tocsc()
         row = np.repeat(np.arange(r1 - r0, dtype=index_dtype(n)), np.diff(block.indptr))
         keep = (block.indices > row) & (block.data != 0.0)
-        us.append(row[keep] + r0)
+        counts.append(np.bincount(row[keep], minlength=r1 - r0))
         vs.append(np.add(block.indices[keep], r0, dtype=row.dtype))
         ws.append(block.data[keep])
-    if not us:
+    if not vs:
         return SimilarityAccumulator.empty(n)
-    # blocks are row-major and each CSC column has sorted rows, so the
-    # concatenation is already in canonical (u, v) order; each list is freed
-    # once joined, so the peak stays near 1.5x the result
-    u = np.concatenate(us)
-    del us
-    v = np.concatenate(vs)
+    # Blocks are row-major and each CSC column has sorted rows, so the joins
+    # are in canonical (u, v) order.  Only the lists are held through them.
+    del base, left
+    indptr = np.r_[0, np.cumsum(np.concatenate(counts))]
+    idx = index_dtype(max(n, int(indptr[-1])))
+    v = np.concatenate(vs, dtype=idx)
     del vs
-    return SimilarityAccumulator(n, u, v, np.concatenate(ws))
+    return SimilarityAccumulator(n, indptr.astype(idx), v, np.concatenate(ws))
 
 
 def out_reach_similarity(c: LocalClosure, cfg: SymmetrizationConfig,
@@ -218,7 +217,7 @@ def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
     # Checked before epsilon, whose `w > epsilon` would drop a NaN silently.
     if not np.isfinite(acc.w).all():
         k = np.isfinite(acc.w).argmin()  # the first non-finite pair
-        a, b = g.labels[acc.u[k]], g.labels[acc.v[k]]
+        a, b = g.labels[acc.rows(k, k + 1)[0]], g.labels[acc.v[k]]
         raise ValidationError(f"weight of pair ({a!r}, {b!r}) is not finite")
     acc = acc.select(acc.w > cfg.epsilon)
     if cfg.top_t is not None:
@@ -247,10 +246,9 @@ def sparsify_top_t(pairs: SimilarityAccumulator, t: int) -> SimilarityAccumulato
     cells = min(_TOP_T_CHUNK, max(m // 16, 1 << 14))
     # Row r of the symmetric adjacency is column r of the upper triangle U
     # (from its CSC form) and row r of U, a range of the canonical pairs.
-    upper = pairs.to_matrix()
-    lower = upper.tocsc()
-    uptr, cptr, below = upper.indptr, lower.indptr, lower.data
-    del upper, lower
+    lower = pairs.to_matrix().tocsc()
+    uptr, cptr, below = pairs.indptr, lower.indptr, lower.data
+    del lower
     deg = np.diff(uptr) + np.diff(cptr)
     heavy = np.flatnonzero(deg > t)
     if not len(heavy):
@@ -279,7 +277,7 @@ def sparsify_top_t(pairs: SimilarityAccumulator, t: int) -> SimilarityAccumulato
 
     keep = np.empty(m, dtype=bool)
     for s in range(0, m, cells):
-        u, v, ws = pairs.u[s:s + cells], pairs.v[s:s + cells], w[s:s + cells]
+        u, v, ws = pairs.rows(s, s + cells), pairs.v[s:s + cells], w[s:s + cells]
         tu, tv = tau[u], tau[v]
         np.logical_or(ws > tu, ws > tv, out=keep[s:s + cells])
         # In canonical order a row meets its ties by ascending partner: those

@@ -39,6 +39,17 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def pair_set(n, u, v, w):
+    """The pair set of ``n`` nodes holding the pairs (u[k], v[k]) with
+    weights w[k], given in canonical order (u ascending, v ascending within
+    each u); its rows are stored in ``v``'s dtype."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v)
+    assert (np.diff(u) >= 0).all(), "pairs must be sorted by u"
+    indptr = np.zeros(n + 1, dtype=v.dtype)
+    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+    return SimilarityAccumulator(n, indptr, v, np.asarray(w))
+
+
 def random_pairs(n, draws, seed):
     """Canonical pairs of ``n`` nodes in the accumulator's index dtype, from
     ``draws`` uniform (u, v) draws (self-pairs, duplicates and u > v
@@ -47,8 +58,8 @@ def random_pairs(n, draws, seed):
     u, v = np.divmod(np.unique(rng.integers(0, n * n, size=draws)), n)
     keep = u < v
     idx = index_dtype(n)
-    return SimilarityAccumulator(n, u[keep].astype(idx), v[keep].astype(idx),
-                                 rng.random(np.count_nonzero(keep)))
+    return pair_set(n, u[keep], v[keep].astype(idx),
+                    rng.random(np.count_nonzero(keep)))
 
 
 def random_digraph(rng, n, p):
@@ -185,7 +196,7 @@ def pairs_from_matrix(mat, n):
     v = coo.col[keep].astype(np.int64)
     w = coo.data[keep].astype(np.float64)
     order = np.lexsort((v, u))
-    return SimilarityAccumulator(n, u[order], v[order], w[order])
+    return pair_set(n, u[order], v[order], w[order])
 
 
 def oracle_symmetrize(g, cfg, h=None):
@@ -198,7 +209,7 @@ def oracle_symmetrize(g, cfg, h=None):
     if h is not None:
         acc = pair_hierarchy_discount(acc, h, cfg.gamma)
     keep = acc.w > cfg.epsilon
-    out = SimilarityAccumulator(g.n, acc.u[keep], acc.v[keep], acc.w[keep])
+    out = pair_set(g.n, acc.u[keep], acc.v[keep], acc.w[keep])
     if cfg.top_t is not None:
         out = sparsify_top_t(out, cfg.top_t)
     return out
@@ -234,8 +245,8 @@ def co_reach_full_rows(R, outer, inner, disc=None):
         return SimilarityAccumulator.empty(n)
     # blocks are row-major and each CSR row has sorted columns, so the
     # concatenation is already in canonical (u, v) order
-    return SimilarityAccumulator(n, np.concatenate(us), np.concatenate(vs),
-                                 np.concatenate(ws))
+    return pair_set(n, np.concatenate(us), np.concatenate(vs),
+                    np.concatenate(ws))
 
 
 def first_order_by_adjacency(g, alpha, beta, use_weights):

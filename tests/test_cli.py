@@ -362,20 +362,24 @@ class TestRejectedInputs:
         assert f"node '{node}'" in assert_one_error_line(capsys)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("text, exponent", [
-        pytest.param("a\tc\t1e-300\nb\tc\t1e-300\n", "2",
+    @pytest.mark.parametrize("text, exponent, pair", [
+        pytest.param("a\tc\t1e-300\nb\tc\t1e-300\n", "2", "('a', 'b')",
                      id="discount-overflows"),
-        pytest.param("a\tc\t1e200\nb\tc\t1e200\n", "0",
+        pytest.param("a\tc\t1e200\nb\tc\t1e200\n", "0", "('a', 'b')",
                      id="product-overflows"),
         pytest.param("a\tc\t1e300\na\td\t1e-300\nb\td\t1e-300\n", "2",
-                     id="inf-times-zero"),
+                     "('a', 'b')", id="inf-times-zero"),
+        # The first non-finite pair is pair 1, and its row is node 3.
+        pytest.param("a\tc\t1\nb\tc\t1\nd\tf\t1e-300\ne\tf\t1e-300\n", "2",
+                     "('d', 'e')", id="past-row-0"),
     ])
-    def test_non_finite_pair_weight(self, tmp_path, capsys, text, exponent):
+    def test_non_finite_pair_weight(self, tmp_path, capsys, text, exponent,
+                                    pair):
         inp = write(tmp_path / "g.tsv", text)
         assert main(["symmetrize", "--method", "degree-discounted", "--weighted",
                      "--alpha", exponent, "--beta", exponent, "-i", inp]) == 1
         assert assert_one_error_line(capsys) == \
-            "error: weight of pair ('a', 'b') is not finite"
+            f"error: weight of pair {pair} is not finite"
 
 
 def _check_ascii_stdout(tmp_path, sub, launcher):

@@ -11,9 +11,9 @@ from reachsym import (HierarchyScores, ParseError, SymmetrizationConfig,
                       load_edge_list, load_hierarchy, pair_hierarchy_discount,
                       symmetrize)
 from reachsym import hierarchy
-from reachsym.accumulator import SimilarityAccumulator
 
-from conftest import digraphs, random_digraph, random_pairs, traced_peak
+from conftest import (digraphs, pair_set, random_digraph, random_pairs,
+                      traced_peak)
 from reference import distance_discount, out_neighbors
 
 
@@ -107,8 +107,7 @@ class TestLoadHierarchy:
 
 
 def acc_one_pair(n, u, v, w):
-    return SimilarityAccumulator(n, np.array([u]), np.array([v]),
-                                 np.array([float(w)]))
+    return pair_set(n, [u], np.array([v]), [float(w)])
 
 
 class TestPairHierarchyDiscount:
@@ -149,8 +148,8 @@ class TestPairHierarchyDiscount:
         assert out.w.tobytes() == w.tobytes()
 
     def test_peak_memory_per_pair(self):
-        # The new weights and one slice's gather: 11.1 bytes per pair; a
-        # full-size gather of the v-side scores beside them takes 16.4.
+        # The new weights and one slice's row indices and gathers: 10.4 bytes
+        # per pair; a full-size gather of the v-side scores takes 16.4.
         acc = random_pairs(2000, 400_000, 5)
         h = HierarchyScores(np.random.default_rng(1).random(2000))
         out, peak = traced_peak(pair_hierarchy_discount, acc, h, 1.0)

@@ -46,6 +46,9 @@ def test_one_pair_type():
         assert not hasattr(reachsym.graph, name)
     for attr in ("from_matrix", "scaled", "weight", "edge_count"):
         assert not hasattr(acc.SimilarityAccumulator, attr)
+    # The upper triangle as CSR; u is derived from indptr.
+    assert list(acc.SimilarityAccumulator.__dataclass_fields__) == \
+        ["n", "indptr", "v", "w"]
     assert not hasattr(reachsym.similarity, "_to_undirected")
 
 

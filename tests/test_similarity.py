@@ -7,11 +7,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachsym import (INF, SimilarityAccumulator, SymmetrizationConfig,
-                      ValidationError, auto_hierarchy, bibliometric,
-                      degree_discounted, graph_from_pairs, in_reach_similarity,
-                      local_closure, out_reach_similarity,
-                      pair_hierarchy_discount, sparsify_top_t, symmetrize)
+from reachsym import (INF, SymmetrizationConfig, ValidationError,
+                      auto_hierarchy, bibliometric, degree_discounted,
+                      graph_from_pairs, in_reach_similarity, local_closure,
+                      out_reach_similarity, pair_hierarchy_discount,
+                      sparsify_top_t, symmetrize)
 from reachsym import similarity
 from reachsym.accumulator import index_dtype
 from reachsym.hierarchy import neighbor_discount_data
@@ -19,7 +19,7 @@ from reachsym.similarity import _co_reach, _degree_discount, _row_blocks
 from reachsym.synthetic import powerlaw_digraph
 
 from conftest import (canonical_pairs, co_reach_full_rows, digraphs,
-                      first_order_by_adjacency, pairs_from_matrix,
+                      first_order_by_adjacency, pair_set, pairs_from_matrix,
                       random_digraph, random_pairs, sparsify_top_t_by_lexsort,
                       traced_peak)
 from reference import (dense_closure, dense_similarity, out_neighbors,
@@ -248,7 +248,7 @@ class TestSparsifyTopT:
         u = np.array([triples[i][0] for i in order], dtype=np.int64)
         v = np.array([triples[i][1] for i in order], dtype=np.int64)
         w = np.array([triples[i][2] for i in order], dtype=np.float64)
-        return SimilarityAccumulator(n, u, v, w)
+        return pair_set(n, u, v, w)
 
     def test_under_budget_unchanged(self):
         g = self.make([(0, 1, 1.0), (1, 2, 2.0)], 3)
@@ -294,7 +294,7 @@ class TestSparsifyTopT:
             # Weights 1 + k ulp differ only in their last bits; each row's
             # weights are gathered through its edge ids, so a wrong id shows.
             w = 1.0 + w * np.spacing(1.0)
-        g = SimilarityAccumulator(n, u.astype(dtype), v.astype(dtype), w)
+        g = pair_set(n, u, v.astype(dtype), w)
         mask = sparsify_top_t_by_lexsort(g, t)
         out = sparsify_top_t(g, t)
         assert out.u.dtype == out.v.dtype == dtype
@@ -309,7 +309,7 @@ class TestSparsifyTopT:
         # Blocks of 1, 2 or 7 cells: every row gets a block of its own, or a
         # degree class is split over several blocks.
         n, u, v, w = pairs
-        g = SimilarityAccumulator(n, u, v, w)
+        g = pair_set(n, u, v, w)
         with mock.patch.object(similarity, "_TOP_T_CHUNK", chunk):
             self.assert_matches_reference(g, t)
 
@@ -325,7 +325,7 @@ class TestSparsifyTopT:
     def test_all_weights_equal(self, t):
         # Every heavy row is settled by ties alone.
         g = random_pairs(60, 2000, 11)
-        g = SimilarityAccumulator(g.n, g.u, g.v, np.ones(len(g)))
+        g = pair_set(g.n, g.u, g.v, np.ones(len(g)))
         for chunk in (7, similarity._TOP_T_CHUNK):
             with mock.patch.object(similarity, "_TOP_T_CHUNK", chunk):
                 out = self.assert_matches_reference(g, t)
@@ -339,7 +339,7 @@ class TestSparsifyTopT:
         u = np.r_[np.zeros_like(hub), g.u[g.u > 0]]
         v = np.r_[hub, g.v[g.u > 0]]
         w = np.r_[np.random.default_rng(12).random(len(hub)), g.w[g.u > 0]]
-        g = SimilarityAccumulator(g.n, u, v, w)
+        g = pair_set(g.n, u, v, w)
         with mock.patch.object(similarity, "_TOP_T_CHUNK", chunk):
             for t in (1, 2, 5):
                 self.assert_matches_reference(g, t)
@@ -368,7 +368,7 @@ class TestSparsifyTopT:
 
     def test_t_one(self):
         g = random_pairs(300, 6000, 14)
-        g = SimilarityAccumulator(g.n, g.u, g.v, np.round(g.w * 4) + 1)
+        g = pair_set(g.n, g.u, g.v, np.round(g.w * 4) + 1)
         out = self.assert_matches_reference(g, 1)
         # every node with a partner keeps at least one edge
         assert (np.union1d(out.u, out.v) == np.union1d(g.u, g.v)).all()
@@ -387,7 +387,7 @@ class TestSparsifyTopT:
         # 12.8 bytes per pair: ties are settled slice by slice; holding the
         # ties of all rows at once took 132.
         g = random_pairs(2000, 400_000, 5)
-        g = SimilarityAccumulator(g.n, g.u, g.v, np.ones(len(g)))
+        g = pair_set(g.n, g.u, g.v, np.ones(len(g)))
         out, peak = traced_peak(sparsify_top_t, g, t)
         assert 0 < len(out) < len(g)
         assert peak < 15 * len(g)
@@ -406,14 +406,21 @@ class TestNothingDropped:
     def test_epsilon_zero_shares_arrays(self):
         g, acc = self.pairs()
         out = acc.select(acc.w > 0.0)
-        for a, b in ((out.u, acc.u), (out.v, acc.v), (out.w, acc.w)):
+        for a, b in ((out.indptr, acc.indptr), (out.v, acc.v), (out.w, acc.w)):
             assert np.shares_memory(a, b)
 
     def test_pair_discount_shares_pairs(self):
         g, acc = self.pairs()
         out = pair_hierarchy_discount(acc, auto_hierarchy(g), 1.0)
         assert len(out) == len(acc)
-        assert np.shares_memory(out.u, acc.u) and np.shares_memory(out.v, acc.v)
+        assert np.shares_memory(out.indptr, acc.indptr)
+        assert np.shares_memory(out.v, acc.v)
+
+    def test_to_matrix_is_a_view(self):
+        g, acc = self.pairs()
+        m = acc.to_matrix()
+        for a, b in ((m.indptr, acc.indptr), (m.indices, acc.v), (m.data, acc.w)):
+            assert np.shares_memory(a, b)
 
 
 class TestAccumulatorAdd:
@@ -421,8 +428,8 @@ class TestAccumulatorAdd:
     @settings(max_examples=200, deadline=None)
     def test_matches_sparse_sum(self, a, b):
         n = max(a[0], b[0])
-        acc_a = SimilarityAccumulator(n, a[1], a[2], a[3] / 7.0)
-        acc_b = SimilarityAccumulator(n, b[1], b[2], b[3] / 3.0)
+        acc_a = pair_set(n, a[1], a[2], a[3] / 7.0)
+        acc_b = pair_set(n, b[1], b[2], b[3] / 3.0)
         total = acc_a.add(acc_b)
 
         def coo(acc):
@@ -435,12 +442,12 @@ class TestAccumulatorAdd:
         assert total.w.tobytes() == ref.w.tobytes()
 
     def test_peak_memory_per_input_pair(self):
-        # 15.9 bytes per input pair (the sum's indices and weights, sized
-        # for both inputs, and the new u); int64 indices would exceed this.
+        # 12.1 bytes per input pair (the sum's indices and weights, sized
+        # for both inputs); int64 indices would exceed this.
         a, b = random_pairs(2000, 400_000, 6), random_pairs(2000, 400_000, 7)
         total, peak = traced_peak(a.add, b)
         assert len(a) + len(b) > 360_000 and len(total) > len(a)
-        assert peak < 20 * (len(a) + len(b))
+        assert peak < 14 * (len(a) + len(b))
 
 
 class TestOracleAgreement:
@@ -526,15 +533,15 @@ class TestCoReachUpperTriangle:
                              co_reach_full_rows(c.out_mat, outer, inner, d))
 
     def test_peak_memory_against_its_result(self):
-        # The per-block lists are freed as they are joined: 1.73 times the
-        # result's bytes; with all three lists alive through the joins, 2.23.
+        # The factors are freed before the joins and each list once joined:
+        # 1.77 times the stored bytes; with the factors held, 1.91.
         g = powerlaw_digraph(2000, 6000, 0.45, seed=5)
         c = local_closure(g, 2)
         outer = _degree_discount(c.d_out_plus, 0.5)
         inner = _degree_discount(c.d_in_plus, 0.5)
         acc, peak = traced_peak(_co_reach, c.out_mat, outer, inner)
         assert len(acc) > 300_000 and len(_row_blocks(c.out_mat)) > 3
-        assert peak < 1.9 * (acc.u.nbytes + acc.v.nbytes + acc.w.nbytes)
+        assert peak < 1.9 * (acc.indptr.nbytes + acc.v.nbytes + acc.w.nbytes)
 
 
 class TestRowBlocks:
