@@ -59,11 +59,6 @@ class SimilarityAccumulator:
         k = lo + np.searchsorted(self.v[lo:hi], b)
         return float(self.w[k]) if a < b and k < hi and self.v[k] == b else default
 
-    def to_dense(self) -> np.ndarray:
-        """Symmetric dense weight matrix (tests and small graphs only)."""
-        upper = self.to_matrix()
-        return (upper + upper.T).toarray()
-
     def to_matrix(self) -> sp.csr_matrix:
         """The strictly upper-triangular CSR matrix, a view of the arrays."""
         return sp.csr_matrix((self.w, self.v, self.indptr), shape=(self.n, self.n))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import contextlib
 import io
 import math
 import os
@@ -22,7 +23,7 @@ from .closure import _check_depth, local_closure
 from .graph import (DirectedGraph, ParseError, ValidationError, load_edge_list,
                     write_undirected)
 from .hierarchy import auto_hierarchy, load_hierarchy
-from .similarity import SymmetrizationConfig, symmetrize
+from .similarity import METHODS, SymmetrizationConfig, symmetrize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,8 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("symmetrize", help="compute the undirected similarity graph")
     add_io(s)
-    s.add_argument("--method", default="reach",
-                   choices=["reach", "degree-discounted", "bibliometric"])
+    s.add_argument("--method", default="reach", choices=METHODS)
     s.add_argument("--l", default=None, metavar="DEPTH",
                    help="reach depth bound: integer ≥ 1 or 'inf' (default 2)")
     s.add_argument("--alpha", type=float, default=0.5)
@@ -189,18 +189,8 @@ def _emit(args, write_fn) -> None:
     was; anything else (``/dev/null``, a FIFO) is written in place."""
     path = getattr(args, "output", None)
     if not path:
-        out = sys.stdout
-        if (getattr(out, "buffer", None) is None
-                or codecs.lookup(out.encoding).name == "utf-8"):
-            return write_fn(out)
-        # The same UTF-8 bytes as -o, also when main() runs in a process
-        # whose stdout encoding is not UTF-8.
-        out.flush()
-        f = io.TextIOWrapper(out.buffer, encoding="utf-8")
-        try:
-            return write_fn(f)
-        finally:
-            f.detach()  # flushes f and leaves sys.stdout's buffer open
+        write_fn(sys.stdout)
+        return sys.stdout.flush()  # a closed pipe fails here, before the summary
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as f:
             return write_fn(f)
@@ -226,28 +216,29 @@ def main(argv=None) -> int:
     # A warning prints as one line; filters and recorders still apply.
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    # Stdout, --help included, carries the UTF-8 bytes of -o in any locale.
+    out = utf8 = sys.stdout
+    if getattr(out, "buffer", None) and codecs.lookup(out.encoding).name != "utf-8":
+        out.flush()
+        sys.stdout = utf8 = io.TextIOWrapper(out.buffer, "utf-8", write_through=True)
     try:
         args = build_parser().parse_args(argv)
         runner = {"symmetrize": run_symmetrize,
                   "hierarchy": run_hierarchy,
                   "stats": run_stats}[args.subcommand]
         return runner(args)
-    except ParseError as e:
+    except (ParseError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, ParseError) else 2 if isinstance(e, OSError) else 1
     finally:
         warnings.formatwarning = formatwarning
+        if utf8 is not out:
+            sys.stdout = out
+            with contextlib.suppress(OSError):  # a closed pipe; _emit reports it
+                utf8.detach()  # leaves out's buffer open
 
 
 def entrypoint() -> None:
-    # Stdout carries the same UTF-8 bytes as -o, whatever the locale says.
-    sys.stdout.reconfigure(encoding="utf-8")
     try:
         sys.exit(main())
     except Warning as e:  # made an error by a filter such as -W error

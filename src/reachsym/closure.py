@@ -33,7 +33,6 @@ class LocalClosure:
     """Bounded reach sets for one depth l, as two CSR matrices with sorted
     indices.  They are read only: one may be the graph's own adjacency."""
 
-    n: int
     l: float                      # integer depth or math.inf
     out_mat: sp.csr_matrix        # (i, k) set iff k is reachable from i within l
     in_mat: sp.csr_matrix         # transpose of out_mat
@@ -52,10 +51,9 @@ def local_closure(g: DirectedGraph, l) -> LocalClosure:
         warnings.warn(
             "l = inf computes the full transitive closure; this is expensive "
             "on large cyclic graphs", RuntimeWarning, stacklevel=2)
-    n = g.n
     # Own index arrays: sort_indices below must never reorder g.adj.
     adj = sp.csr_matrix((np.ones(g.adj.nnz, dtype=bool), g.adj.indices.copy(),
-                         g.adj.indptr.copy()), shape=(n, n))
+                         g.adj.indptr.copy()), shape=(g.n, g.n))
     reach = adj
     depth = 1
     while depth < l:
@@ -67,7 +65,7 @@ def local_closure(g: DirectedGraph, l) -> LocalClosure:
     reach.sort_indices()
     rev = reach.T.tocsr()
     rev.sort_indices()
-    return LocalClosure(n=n, l=l, out_mat=reach, in_mat=rev,
+    return LocalClosure(l=l, out_mat=reach, in_mat=rev,
                         d_out_plus=np.diff(reach.indptr).astype(np.int64),
                         d_in_plus=np.diff(rev.indptr).astype(np.int64))
 
@@ -85,5 +83,5 @@ def weighted_closure(g: DirectedGraph) -> LocalClosure:
                               "is not finite")
     rev = g.adj.T.tocsr()
     rev.sort_indices()
-    return LocalClosure(n=g.n, l=1, out_mat=g.adj, in_mat=rev,
+    return LocalClosure(l=1, out_mat=g.adj, in_mat=rev,
                         d_out_plus=d_out, d_in_plus=d_in)

@@ -112,7 +112,7 @@ def load_hierarchy(stream: Iterable[str], g: DirectedGraph) -> HierarchyScores:
     return HierarchyScores(_normalize(raw))
 
 
-_SLICE = 1 << 15  # pairs per gather of the scores
+_SLICE = 1 << 15  # pairs per gather of the v-side scores
 
 
 def pair_hierarchy_discount(acc: SimilarityAccumulator, h: HierarchyScores,
@@ -120,9 +120,8 @@ def pair_hierarchy_discount(acc: SimilarityAccumulator, h: HierarchyScores,
     """Divide each pair weight by (1 + |h(u) - h(v)|)^gamma."""
     if gamma < 0:
         raise ValidationError("gamma must be ≥ 0")
-    w = np.empty(len(acc))  # in place from here, the same operations and bits
+    w = np.repeat(h.score, np.diff(acc.indptr))  # in place from here, same bits
     for s in range(0, len(w), _SLICE):
-        w[s:s + _SLICE] = h.score[acc.rows(s, s + _SLICE)]
         w[s:s + _SLICE] -= h.score[acc.v[s:s + _SLICE]]
     np.abs(w, out=w)
     w += 1.0
@@ -136,6 +135,5 @@ def neighbor_discount_data(indptr: np.ndarray, indices: np.ndarray,
     """The factor (1 + |h(i) - h(k)|)^-delta for every (i, k) position of a
     CSR reach matrix.  Common neighbor k of the pair (i, j) is damped by the
     product of the i-side and j-side factors."""
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     s = h.score
-    return (1.0 + np.abs(s[rows] - s[indices])) ** -delta
+    return (1.0 + np.abs(np.repeat(s, np.diff(indptr)) - s[indices])) ** -delta

@@ -71,7 +71,7 @@ def _degree_discount(deg: np.ndarray, exponent: float,
         over = deg > cap
         if over.any():
             warnings.warn(f"hub cap {cap}: skipping {int(over.sum())} "
-                          "common-neighbor node(s)", stacklevel=3)
+                          "common-neighbor node(s)", stacklevel=4)
             out[over] = 0.0
     return out
 
@@ -143,15 +143,7 @@ def out_reach_similarity(c: LocalClosure, cfg: SymmetrizationConfig,
                          h: Optional[HierarchyScores] = None
                          ) -> SimilarityAccumulator:
     """Pair similarity through common reachable successors."""
-    if c.l != cfg.l:
-        raise ValidationError(f"closure depth {c.l} does not match config depth {cfg.l}")
-    R = c.out_mat
-    outer = _degree_discount(c.d_out_plus, cfg.alpha)
-    inner = _degree_discount(c.d_in_plus, cfg.beta, cap=cfg.hub_cap)
-    disc = None
-    if h is not None:
-        disc = neighbor_discount_data(R.indptr, R.indices, h, cfg.delta)
-    return _co_reach(R, outer, inner, disc)
+    return _reach(c, cfg, h, c.out_mat, c.d_out_plus, cfg.alpha, c.d_in_plus, cfg.beta)
 
 
 def in_reach_similarity(c: LocalClosure, cfg: SymmetrizationConfig,
@@ -159,15 +151,20 @@ def in_reach_similarity(c: LocalClosure, cfg: SymmetrizationConfig,
                         ) -> SimilarityAccumulator:
     """Pair similarity through common reaching predecessors (roles of the
     out/in degrees swapped relative to out_reach_similarity)."""
+    return _reach(c, cfg, h, c.in_mat, c.d_in_plus, cfg.beta, c.d_out_plus, cfg.alpha)
+
+
+def _reach(c: LocalClosure, cfg: SymmetrizationConfig,
+           h: Optional[HierarchyScores], R: sp.csr_matrix, outer: np.ndarray,
+           a: float, inner: np.ndarray, b: float) -> SimilarityAccumulator:
+    """The body of both directions.  A hub-cap warning names their caller's
+    line (stacklevel 4), so when both directions warn alike it prints once."""
     if c.l != cfg.l:
         raise ValidationError(f"closure depth {c.l} does not match config depth {cfg.l}")
-    R = c.in_mat
-    outer = _degree_discount(c.d_in_plus, cfg.beta)
-    inner = _degree_discount(c.d_out_plus, cfg.alpha, cap=cfg.hub_cap)
-    disc = None
-    if h is not None:
-        disc = neighbor_discount_data(R.indptr, R.indices, h, cfg.delta)
-    return _co_reach(R, outer, inner, disc)
+    return _co_reach(R, _degree_discount(outer, a),
+                     _degree_discount(inner, b, cap=cfg.hub_cap),
+                     None if h is None else
+                     neighbor_discount_data(R.indptr, R.indices, h, cfg.delta))
 
 
 def degree_discounted(g: DirectedGraph, alpha: float = 0.5, beta: float = 0.5

@@ -1,6 +1,6 @@
-"""Test-only code: the dense oracle, per-source BFS, the scalar neighbor
-discount, a TSV reader for written output, and per-node views of CSR
-matrices and graphs.
+"""Test-only code: the dense oracle and a dense view of a pair set,
+per-source BFS, the scalar neighbor discount, a TSV reader for written
+output, and per-node views of CSR matrices and graphs.
 
 The references work on Python sets or explicit n x n numpy arrays,
 independent of the sparse production path; clarity over speed.
@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from reachsym import (DirectedGraph, HierarchyScores, ParseError,
-                      ValidationError)
+                      SimilarityAccumulator, ValidationError)
 from reachsym.closure import _check_depth
 
 DENSE_GUARD = 512
@@ -97,6 +97,12 @@ def read_undirected(stream: Iterable[str]) -> list[tuple[str, str, float]]:
             raise ParseError("expected `u<TAB>v<TAB>weight`", line_no)
         out.append((parts[0], parts[1], float(parts[2])))
     return out
+
+
+def to_dense(pairs: SimilarityAccumulator) -> np.ndarray:
+    """Symmetric dense weight matrix of a pair set (small graphs only)."""
+    upper = pairs.to_matrix()
+    return (upper + upper.T).toarray()
 
 
 def dense_closure(g: DirectedGraph, l) -> np.ndarray:

@@ -15,7 +15,7 @@ from reachsym.cli import main
 from reachsym.synthetic import powerlaw_digraph
 
 from conftest import random_digraph, reach_by_matrix_powers
-from reference import dense_closure, dense_similarity, reach_rows
+from reference import dense_closure, dense_similarity, reach_rows, to_dense
 
 
 class _report:
@@ -40,7 +40,7 @@ def cfg(**kw):
 def sparse_a_u(closure, alpha, beta, h, delta):
     c = cfg(l=closure.l, alpha=alpha, beta=beta, delta=delta)
     b = out_reach_similarity(closure, c, h)
-    return b.add(in_reach_similarity(closure, c, h)).to_dense()
+    return to_dense(b.add(in_reach_similarity(closure, c, h)))
 
 
 def test_oracle_equivalence():

@@ -1,3 +1,4 @@
+import io
 import os
 import stat
 import subprocess
@@ -21,6 +22,16 @@ def write(path, text):
 
 CHAIN = "a\tb\nb\tc\n"
 TWO_SOURCES = "u\tw\nv\tw\n"
+# main() in a fresh interpreter, without the entry point.
+IN_PROCESS = ["-c", "import sys, reachsym.cli as c; sys.exit(c.main(sys.argv[1:]))"]
+
+
+def run_python(argv, **env):
+    """``python *argv`` with the package on the path and ``env`` set."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 class TestSymmetrizeCommand:
@@ -67,6 +78,22 @@ class TestSymmetrizeCommand:
                      "-i", inp]) == 1
         _, err = capsys.readouterr()
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--threads", "0"], "error: threads must be ≥ 1"),
+        (["--l", "abc"], "error: invalid depth 'abc'"),
+    ])
+    def test_invalid_value_exit_1(self, tmp_path, capsys, flags, message):
+        inp = write(tmp_path / "g.tsv", CHAIN)
+        assert main(["symmetrize", "-i", inp, *flags]) == 1
+        assert assert_one_error_line(capsys) == message
+
+    def test_hierarchy_file_line_with_three_fields_exit_3(self, tmp_path, capsys):
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        hf = write(tmp_path / "h.tsv", "u\t0\nv\t0\t9\nw\t1\n")
+        assert main(["symmetrize", "--hierarchy", f"file:{hf}", "-i", inp]) == 3
+        assert assert_one_error_line(capsys) == \
+            "error: line 2: expected `label<TAB>score`"
 
     def test_gamma_requires_hierarchy(self, tmp_path):
         inp = write(tmp_path / "g.tsv", CHAIN)
@@ -307,6 +334,16 @@ class TestRejectedInputs:
         assert lines[0].startswith(message)
         assert "reachsym" not in lines[0] and ".py" not in lines[0]
 
+    def test_hub_cap_warning_prints_once_for_both_directions(self, tmp_path):
+        # Node c is a hub both as a successor and as a predecessor.
+        inp = write(tmp_path / "g.tsv", "a\tc\nb\tc\nc\td\nc\te\n")
+        proc = run_python(["-m", "reachsym", "symmetrize", "--hub-cap", "1",
+                           "--l", "1", "-i", inp])
+        assert proc.returncode == 0, proc.stderr
+        assert [line for line in proc.stderr.decode().splitlines()
+                if line.startswith("warning:")] == \
+            ["warning: hub cap 1: skipping 1 common-neighbor node(s)"]
+
     def test_enclosing_recorder_still_gets_warnings(self, tmp_path, capsys):
         inp = write(tmp_path / "g.tsv", TWO_SOURCES)
         before = warnings.formatwarning
@@ -409,10 +446,52 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path, sub):
 
 @pytest.mark.parametrize("sub", ["symmetrize", "hierarchy"])
 def test_in_process_main_writes_utf8_stdout(tmp_path, sub):
-    """main() called in-process, without the entry point's stdout
-    reconfigure, also prints UTF-8 under an ASCII stdout encoding."""
-    _check_ascii_stdout(tmp_path, sub, [
-        "-c", "import sys, reachsym.cli as c; sys.exit(c.main(sys.argv[1:]))"])
+    """main() called in-process, without the entry point, also prints UTF-8
+    under an ASCII stdout encoding."""
+    _check_ascii_stdout(tmp_path, sub, IN_PROCESS)
+
+
+@pytest.mark.parametrize("launcher", [["-m", "reachsym"], IN_PROCESS],
+                         ids=["module", "in-process"])
+@pytest.mark.parametrize("sub", ["symmetrize", "hierarchy", "stats"])
+def test_help_is_utf8_whatever_the_locale(sub, launcher):
+    """--help under an ASCII stdout encoding exits 0 and prints the bytes it
+    prints under UTF-8."""
+    want = run_python(["-m", "reachsym", sub, "--help"], PYTHONIOENCODING="utf-8")
+    proc = run_python([*launcher, sub, "--help"], PYTHONIOENCODING="ascii")
+    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+    assert proc.stdout == want.stdout != b""
+    if sub == "symmetrize":  # the only help text that is not ASCII
+        assert "≥".encode("utf-8") in proc.stdout
+
+
+class _FailsOnce(io.RawIOBase):
+    """A pipe whose reader has gone, for the first write only."""
+
+    def __init__(self):
+        self.failed = False
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        if not self.failed:
+            self.failed = True
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(b)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_failed_stdout_write_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                               encoding):
+    """A write to stdout that fails is exit 2 with one error line, whether
+    main() wraps stdout (ascii) or writes to it as it is (utf-8)."""
+    inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+    stdout = io.TextIOWrapper(io.BufferedWriter(_FailsOnce()), encoding=encoding)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["symmetrize", "-i", inp]) == 2
+    assert sys.stdout is stdout
+    assert assert_one_error_line(capsys) == "error: [Errno 32] Broken pipe"
 
 
 class TestOutputFile:

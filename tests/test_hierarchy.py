@@ -1,4 +1,5 @@
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -71,6 +72,11 @@ class TestLoadHierarchy:
         h = load_hierarchy(io.StringIO("a\t7\nb\t7\nc\t7"), self.graph())
         assert h.score.tolist() == [0.0, 0.0, 0.0]
 
+    def test_comment_and_blank_lines_skipped(self):
+        h = load_hierarchy(io.StringIO("# depth\na\t10\n\nb\t20\nc\t30\n"),
+                           self.graph())
+        assert h.score.tolist() == [0.0, 0.5, 1.0]
+
     def test_missing_node_named(self):
         with pytest.raises(ValidationError, match="c"):
             load_hierarchy(io.StringIO("a\t1\nb\t2"), self.graph())
@@ -110,7 +116,20 @@ def acc_one_pair(n, u, v, w):
     return pair_set(n, [u], np.array([v]), [float(w)])
 
 
+class TestHierarchyScores:
+    @pytest.mark.parametrize("score, message", [
+        (math.nan, "must be finite"), (1.5, r"must lie in \[0, 1\]")])
+    def test_rejected(self, score, message):
+        with pytest.raises(ValidationError, match=message):
+            HierarchyScores(np.array([0.0, score]))
+
+
 class TestPairHierarchyDiscount:
+    def test_negative_gamma_rejected(self):
+        h = HierarchyScores(np.array([0.0, 1.0]))
+        with pytest.raises(ValidationError, match="gamma must be ≥ 0"):
+            pair_hierarchy_discount(acc_one_pair(2, 0, 1, 1.0), h, gamma=-1.0)
+
     def test_equal_scores_unchanged(self):
         h = HierarchyScores(np.array([0.4, 0.4]))
         acc = pair_hierarchy_discount(acc_one_pair(2, 0, 1, 2.0), h, gamma=3.0)
@@ -148,8 +167,8 @@ class TestPairHierarchyDiscount:
         assert out.w.tobytes() == w.tobytes()
 
     def test_peak_memory_per_pair(self):
-        # The new weights and one slice's row indices and gathers: 10.4 bytes
-        # per pair; a full-size gather of the v-side scores takes 16.4.
+        # 9.7 bytes per pair, 8 of them the new weights; a full-size gather
+        # of the v-side scores takes 16.4.
         acc = random_pairs(2000, 400_000, 5)
         h = HierarchyScores(np.random.default_rng(1).random(2000))
         out, peak = traced_peak(pair_hierarchy_discount, acc, h, 1.0)

@@ -52,6 +52,14 @@ def test_one_pair_type():
     assert not hasattr(reachsym.similarity, "_to_undirected")
 
 
+def test_no_unread_or_test_only_state():
+    # The closure's node count is its matrices' shape; the dense view of a
+    # pair set is tests/reference.py's to_dense.
+    assert list(reachsym.LocalClosure.__dataclass_fields__) == \
+        ["l", "out_mat", "in_mat", "d_out_plus", "d_in_plus"]
+    assert not hasattr(reachsym.SimilarityAccumulator, "to_dense")
+
+
 def test_no_stored_derived_state():
     # Hierarchy discounts apply iff scores are passed; the transpose is
     # built where it is needed.

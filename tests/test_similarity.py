@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachsym import (INF, SymmetrizationConfig, ValidationError,
+from reachsym import (INF, HierarchyScores, SymmetrizationConfig, ValidationError,
                       auto_hierarchy, bibliometric, degree_discounted,
                       graph_from_pairs, in_reach_similarity, local_closure,
                       out_reach_similarity, pair_hierarchy_discount,
@@ -23,7 +24,7 @@ from conftest import (canonical_pairs, co_reach_full_rows, digraphs,
                       random_digraph, random_pairs, sparsify_top_t_by_lexsort,
                       traced_peak)
 from reference import (dense_closure, dense_similarity, out_neighbors,
-                       reversed_graph)
+                       reversed_graph, to_dense)
 
 INV_SQRT2 = 0.7071067811865476  # 1 / 2**0.5
 
@@ -76,13 +77,27 @@ class TestInReachSimilarity:
         acc = in_reach_similarity(local_closure(g, 1), cfg(l=1))
         assert acc.get(0, 1) == pytest.approx(INV_SQRT2, abs=1e-12)
 
-    @given(digraphs(max_n=7), st.integers(1, 3))
-    def test_equals_out_reach_on_reversed_graph(self, g, l):
-        c = cfg(l=l, alpha=0.3, beta=0.8)
-        swapped = cfg(l=l, alpha=0.8, beta=0.3)
-        fwd = in_reach_similarity(local_closure(g, l), c)
-        rev = out_reach_similarity(local_closure(reversed_graph(g), l), swapped)
-        assert np.allclose(fwd.to_dense(), rev.to_dense(), atol=1e-12)
+    @given(st.data(), digraphs(max_n=7), st.integers(1, 3))
+    def test_equals_out_reach_on_reversed_graph(self, data, g, l):
+        # Bit for bit: both feed one body, with the degree roles swapped.
+        scores = data.draw(st.none() | st.lists(st.floats(0, 1), min_size=g.n,
+                                                max_size=g.n))
+        h = None if scores is None else HierarchyScores(np.array(scores))
+        alpha, beta, delta = (data.draw(st.floats(0, 2)) for _ in range(3))
+        kw = dict(l=l, delta=delta, hub_cap=data.draw(st.none() | st.integers(1, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the hub cap's
+            fwd = in_reach_similarity(local_closure(g, l),
+                                      cfg(alpha=alpha, beta=beta, **kw), h)
+            rev = out_reach_similarity(local_closure(reversed_graph(g), l),
+                                       cfg(alpha=beta, beta=alpha, **kw), h)
+        for name in ("indptr", "v", "w"):
+            assert getattr(fwd, name).tobytes() == getattr(rev, name).tobytes()
+
+    def test_depth_mismatch_rejected(self):
+        g = graph_from_pairs([(0, 1)], n=2)
+        with pytest.raises(ValidationError, match="depth"):
+            in_reach_similarity(local_closure(g, 1), cfg(l=2))
 
     def test_empty_graph(self):
         g = graph_from_pairs([], n=3)
@@ -120,7 +135,19 @@ class TestSymmetrize:
             g = random_digraph(rng, int(rng.integers(2, 25)), 0.15)
             a = symmetrize(g, cfg(l=1, alpha=0.0, beta=0.0))
             b = bibliometric(g)
-            assert np.allclose(a.to_dense(), b.to_dense(), rtol=1e-12, atol=0)
+            assert np.allclose(to_dense(a), to_dense(b), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(method="mystery"), "unknown method 'mystery'"),
+        (dict(alpha=-1), "alpha must be finite and ≥ 0"),
+        (dict(beta=math.inf), "beta must be finite and ≥ 0"),
+        (dict(top_t=0), "top_t must be ≥ 1"),
+        (dict(hub_cap=0), "hub_cap must be ≥ 1"),
+    ])
+    def test_invalid_config_rejected(self, kw, message):
+        g = graph_from_pairs([(0, 2), (1, 2)], n=3)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            symmetrize(g, cfg(**kw))
 
     def test_large_epsilon_empties_graph(self):
         g = graph_from_pairs([(0, 2), (1, 2)], n=3)
@@ -141,8 +168,8 @@ class TestSymmetrize:
         relabeled = graph_from_pairs(
             [(perm[u], perm[int(v)]) for u in range(g.n)
              for v in out_neighbors(g, u)], n=g.n)
-        a = symmetrize(g, cfg(l=2)).to_dense()
-        b = symmetrize(relabeled, cfg(l=2)).to_dense()
+        a = to_dense(symmetrize(g, cfg(l=2)))
+        b = to_dense(symmetrize(relabeled, cfg(l=2)))
         p = np.array(perm, dtype=np.int64)
         if g.n:
             assert np.allclose(b[np.ix_(p, p)], a, atol=1e-12)
@@ -460,12 +487,12 @@ class TestOracleAgreement:
         out = symmetrize(g, cfg(l=l, alpha=alpha, beta=beta))
         closure = dense_closure(g, l)
         _, _, a_u = dense_similarity(closure, alpha, beta)
-        assert np.allclose(out.to_dense(), a_u, atol=1e-9)
+        assert np.allclose(to_dense(out), a_u, atol=1e-9)
 
     def test_symmetry_of_reconstruction(self):
         rng = np.random.default_rng(37)
         g = random_digraph(rng, 25, 0.15)
-        d = symmetrize(g, cfg(l=2)).to_dense()
+        d = to_dense(symmetrize(g, cfg(l=2)))
         assert (d == d.T).all()
 
 
