@@ -36,13 +36,16 @@ class SimilarityAccumulator:
     def __len__(self) -> int:
         return len(self.w)
 
-    def rows(self, s: int, e: int) -> np.ndarray:
-        """The row u of each pair s..e-1, a fresh array in ``v``'s dtype."""
+    def rows(self, s: int, e: int, of: np.ndarray | None = None) -> np.ndarray:
+        """The row u of each pair s..e-1, a fresh array in ``v``'s dtype, or
+        of[u] when a per-node array ``of`` is given."""
         e = min(e, len(self))
         r0 = np.searchsorted(self.indptr, s, side="right") - 1
         r1 = np.searchsorted(self.indptr, e, side="left")
         count = np.diff(np.clip(self.indptr[r0:r1 + 1], s, e))
-        return np.repeat(np.arange(r0, r1, dtype=self.v.dtype), count)
+        if of is None:
+            return np.repeat(np.arange(r0, r1, dtype=self.v.dtype), count)
+        return np.repeat(of[r0:r1], count)
 
     @property
     def u(self) -> np.ndarray:
@@ -74,7 +77,7 @@ class SimilarityAccumulator:
         them all this is ``self``, so no pair array is copied."""
         if keep.all():
             return self
-        kept = np.zeros(len(keep) + 1, dtype=self.indptr.dtype)
-        np.cumsum(keep, out=kept[1:])  # kept pairs before each position
-        return SimilarityAccumulator(self.n, kept[self.indptr], self.v[keep],
-                                     self.w[keep])
+        at = np.flatnonzero(keep)  # gathers by index beat a sparse mask's
+        return SimilarityAccumulator(
+            self.n, np.searchsorted(at, self.indptr).astype(self.indptr.dtype),
+            self.v[at], self.w[at])

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import contextlib
-import io
 import math
 import os
 import sys
@@ -213,37 +211,51 @@ def _emit(args, write_fn) -> None:
 
 
 def main(argv=None) -> int:
-    # A warning prints as one line; filters and recorders still apply.
+    # A warning prints as one line; filters and recorders still apply.  Each
+    # call runs on a copy of the filters, which starts a fresh once-per-line
+    # registry, so a warning printed by an earlier call prints again.
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     # Stdout, --help included, carries the UTF-8 bytes of -o in any locale.
-    out = utf8 = sys.stdout
+    # The writer holds no buffer of its own and never closes out's.
+    out = sys.stdout
     if getattr(out, "buffer", None) and codecs.lookup(out.encoding).name != "utf-8":
         out.flush()
-        sys.stdout = utf8 = io.TextIOWrapper(out.buffer, "utf-8", write_through=True)
+        sys.stdout = codecs.getwriter("utf-8")(out.buffer)
     try:
-        args = build_parser().parse_args(argv)
-        runner = {"symmetrize": run_symmetrize,
-                  "hierarchy": run_hierarchy,
-                  "stats": run_stats}[args.subcommand]
-        return runner(args)
+        with warnings.catch_warnings():
+            args = build_parser().parse_args(argv)
+            runner = {"symmetrize": run_symmetrize,
+                      "hierarchy": run_hierarchy,
+                      "stats": run_stats}[args.subcommand]
+            return runner(args)
     except (ParseError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3 if isinstance(e, ParseError) else 2 if isinstance(e, OSError) else 1
     finally:
         warnings.formatwarning = formatwarning
-        if utf8 is not out:
-            sys.stdout = out
-            with contextlib.suppress(OSError):  # a closed pipe; _emit reports it
-                utf8.detach()  # leaves out's buffer open
+        sys.stdout = out
 
 
 def entrypoint() -> None:
     try:
-        sys.exit(main())
+        code = main()
     except Warning as e:  # made an error by a filter such as -W error
         print(f"error: {e}", file=sys.stderr)
-        sys.exit(1)
+        code = 1
+    except SystemExit as e:  # --help
+        code = e.code
+    # What stdout still buffers is written now.  A reader that has gone is
+    # then one error line, unless main has reported it, and fd 1 is pointed
+    # at os.devnull so that the flush at exit fails no more.
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as e:
+        if not code:
+            print(f"error: {e}", file=sys.stderr)
+            code = 2
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

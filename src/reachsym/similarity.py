@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .accumulator import SimilarityAccumulator, index_dtype
 from .closure import LocalClosure, _check_depth, local_closure, weighted_closure
@@ -223,8 +224,9 @@ def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
 
 
 # sparsify_top_t works in chunks of m / 16 cells (threshold blocks) or pairs
-# (keep slices), so that a chunk stays small beside the pair arrays, but of at
-# least 2^14, so that a chunk's dozen numpy calls stay cheap, and at most this.
+# (cut and keep slices), so that a chunk stays small beside the pair arrays,
+# but of at least 2^14, so that a chunk's dozen numpy calls stay cheap, and at
+# most this.
 _TOP_T_CHUNK = 1 << 22
 
 
@@ -235,60 +237,121 @@ def sparsify_top_t(pairs: SimilarityAccumulator, t: int) -> SimilarityAccumulato
     Node r's threshold tau[r] is the t-th largest weight among its partners
     (-inf for at most t).  An edge is kept when its weight exceeds tau at
     either end, and so are the first t - #{weight > tau[r]} partners of r,
-    by index, whose weight equals tau[r].
+    by index, whose weight equals tau[r]: those up to partner last[r].
+    The thresholds and ties are those of the pairs that _top_t_cut keeps,
+    which holds every pair at or above tau at either end.
     """
     if t < 1:
         raise ValidationError("top_t must be ≥ 1")
+    cells = min(_TOP_T_CHUNK, max(len(pairs) // 16, 1 << 14))
+    pairs = _top_t_cut(pairs, t, cells)
     m, n, w = len(pairs.w), pairs.n, pairs.w
-    cells = min(_TOP_T_CHUNK, max(m // 16, 1 << 14))
     # Row r of the symmetric adjacency is column r of the upper triangle U
     # (from its CSC form) and row r of U, a range of the canonical pairs.
     lower = pairs.to_matrix().tocsc()
-    uptr, cptr, below = pairs.indptr, lower.indptr, lower.data
+    uptr, cptr, below, below_v = pairs.indptr, lower.indptr, lower.data, lower.indices
     del lower
     deg = np.diff(uptr) + np.diff(cptr)
     heavy = np.flatnonzero(deg > t)
     if not len(heavy):
         return pairs
-    heavy = heavy[np.argsort(deg[heavy], kind="stable")]
     tau = np.full(n, -np.inf)
-    room = np.zeros(n, dtype=np.int64)  # places left for weights equal to tau
-    # Rows of one degree class (deg in (2^(c-1), 2^c]) share blocks of at most
-    # `cells` cells, each row padded with -inf to the block's largest degree.
-    cls = np.frexp(deg[heavy] - 1)[1]
+    last = np.full(n, n, dtype=pairs.v.dtype)
+
+    def row_weights(rows, width):
+        """Each row's weights by ascending partner: those below it, then
+        those above it."""
+        block = np.full((len(rows), width), -np.inf)
+        nlo = cptr[rows + 1] - cptr[rows]
+        _place(block, below, cptr[rows], nlo, 0)
+        _place(block, w, uptr[rows], uptr[rows + 1] - uptr[rows], nlo)
+        return block
+
+    for rows, block in _degree_blocks(heavy, deg, cells, row_weights):
+        k = block.shape[1] - t
+        top = np.partition(block, k, axis=1)
+        tau[rows] = top[:, k]
+        # Columns k on hold the t largest, room of them equal to tau.  A tie
+        # left of column k means more ties than room: last[r] is then the
+        # partner of the room-th tie in the block, which is in partner order.
+        crowded = (top[:, :k] == tau[rows, None]).any(axis=1)
+        room = np.count_nonzero(top[:, k:] == tau[rows, None], axis=1)[crowded]
+        del top
+        if crowded.any():
+            ties = (block == tau[rows, None])[crowded]
+            rows = rows[crowded]
+            c = (np.cumsum(ties, axis=1, dtype=np.int32) == room[:, None]).argmax(axis=1)
+            nlo = cptr[rows + 1] - cptr[rows]
+            lo = c < nlo
+            last[rows[lo]] = below_v[(cptr[rows] + c)[lo]]
+            last[rows[~lo]] = pairs.v[(uptr[rows] + c - nlo)[~lo]]
+        del block  # before the next one is filled
+    del below, below_v
+
+    keep = np.empty(m, dtype=bool)
+    for s in range(0, m, cells):
+        v, ws = pairs.v[s:s + cells], w[s:s + cells]
+        tu, tv = pairs.rows(s, s + cells, tau), tau.take(v)
+        np.logical_or(ws > tu, ws > tv, out=keep[s:s + cells])
+        # A tie is kept up to the last partner of its end whose tie stays.
+        eu, ev = np.flatnonzero(ws == tu), np.flatnonzero(ws == tv)
+        keep[s + eu[v[eu] <= pairs.rows(s, s + cells, last)[eu]]] = True
+        keep[s + ev[pairs.rows(s, s + cells)[ev] <= last.take(v[ev])]] = True
+    return pairs.select(keep)
+
+
+def _top_t_cut(pairs: SimilarityAccumulator, t: int,
+               cells: int) -> SimilarityAccumulator:
+    """The pairs whose weight is at least tau_up at either end.
+
+    tau_up[r], the t-th largest weight in row r of the pairs (its partners
+    above r; -inf for fewer than t), is at most tau[r].  A pair below it at
+    both ends is below tau at both ends, so no node keeps it, and every pair
+    at or above tau[r] stays: r's threshold and ties are unchanged.
+    """
+    uptr, w = pairs.indptr, pairs.w
+    updeg = np.diff(uptr)
+    wide = np.flatnonzero(updeg >= t)  # rows with a tau_up above -inf
+    if not len(wide):
+        return pairs
+
+    def row_weights(rows, width):
+        """Each row's weights, read through a window of ``w`` at its start
+        (moved back to end inside ``w``), with the cells outside it -inf."""
+        start = uptr[rows]
+        at = np.minimum(start, len(w) - width)
+        block = sliding_window_view(w, width)[at]
+        col, lo = np.arange(width), (start - at)[:, None]
+        np.copyto(block, -np.inf, where=(col < lo) | (col >= lo + updeg[rows, None]))
+        return block
+
+    tau_up = np.full(pairs.n, -np.inf)
+    for rows, block in _degree_blocks(wide, updeg, cells, row_weights):
+        block.partition(block.shape[1] - t, axis=1)
+        tau_up[rows] = block[:, -t]
+    cut = np.empty(len(w), dtype=bool)
+    for s in range(0, len(w), cells):
+        ws = w[s:s + cells]
+        np.logical_or(ws >= pairs.rows(s, s + cells, tau_up),
+                      ws >= tau_up.take(pairs.v[s:s + cells]), out=cut[s:s + cells])
+    return pairs.select(cut)
+
+
+def _degree_blocks(rows: np.ndarray, deg: np.ndarray, cells: int, row_weights):
+    """Yield (rows, row_weights(rows, width)) over ``rows`` by ascending
+    degree: the block holds each row's deg[r] values, -inf in its other
+    cells.  Rows of one degree class (deg in (2^(c-1), 2^c]) share blocks of
+    at most ``cells`` cells, their width the block's largest degree."""
+    rows = rows[np.argsort(deg[rows], kind="stable")]
+    cls = np.frexp(deg[rows] - 1)[1]
     bounds = np.flatnonzero(np.r_[True, cls[1:] != cls[:-1], True]).tolist()
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
         step = max(1, cells >> int(cls[b0]))
         for c0 in range(b0, b1, step):
-            rows = heavy[c0:min(c0 + step, b1)]
-            width = int(deg[rows[-1]])
-            block = np.full((len(rows), width), -np.inf)
-            nlo = cptr[rows + 1] - cptr[rows]
-            _place(block, below, cptr[rows], nlo, 0)
-            _place(block, w, uptr[rows], uptr[rows + 1] - uptr[rows], nlo)
-            block.partition(width - t, axis=1)
-            tau[rows] = block[:, width - t]
-            room[rows] = t - np.count_nonzero(block[:, width - t + 1:]
-                                              > tau[rows, None], axis=1)
-    del below, block
-
-    keep = np.empty(m, dtype=bool)
-    for s in range(0, m, cells):
-        u, v, ws = pairs.rows(s, s + cells), pairs.v[s:s + cells], w[s:s + cells]
-        tu, tv = tau[u], tau[v]
-        np.logical_or(ws > tu, ws > tv, out=keep[s:s + cells])
-        # In canonical order a row meets its ties by ascending partner: those
-        # below it (as v) before those above it (as u).  So each row takes
-        # its ties in (row, position) order while it has room.
-        ev, eu = np.flatnonzero(ws == tv), np.flatnonzero(ws == tu)
-        key = np.r_[v[ev], u[eu]].astype(np.int64) * len(ws) + np.r_[ev, eu]
-        row, at = np.divmod(np.sort(key), len(ws))
-        first = np.flatnonzero(np.diff(row, prepend=-1))
-        count = np.diff(first, append=len(row))
-        fits = np.arange(len(row)) - np.repeat(first, count) < room[row]
-        keep[s + at[fits]] = True
-        room[row[first]] -= count
-    return pairs.select(keep)
+            part = rows[c0:min(c0 + step, b1)]
+            block = row_weights(part, int(deg[part[-1]]))
+            yield part, block
+            del block  # before the next one is filled
 
 
 def _place(block: np.ndarray, src: np.ndarray, starts: np.ndarray,
@@ -297,6 +360,7 @@ def _place(block: np.ndarray, src: np.ndarray, starts: np.ndarray,
     column col (or col[i]) on."""
     skip = np.cumsum(lens) - lens  # values placed before row i
     j = np.arange(skip[-1] + lens[-1])
-    width = block.shape[1]
-    at = np.arange(0, block.size, width) + col - skip
-    block.reshape(-1)[np.repeat(at, lens) + j] = src[np.repeat(starts - skip, lens) + j]
+    at = np.repeat(np.arange(0, block.size, block.shape[1]) + col - skip, lens)
+    at += j
+    j += np.repeat(starts - skip, lens)
+    block.reshape(-1)[at] = src[j]

@@ -344,6 +344,18 @@ class TestRejectedInputs:
                 if line.startswith("warning:")] == \
             ["warning: hub cap 1: skipping 1 common-neighbor node(s)"]
 
+    def test_each_call_prints_its_warning(self, tmp_path):
+        # Python prints a warning once per source line; a second call of
+        # main in the same process prints it again.
+        inp = write(tmp_path / "g.tsv", "a\tc\nb\tc\nc\td\nc\te\n")
+        argv = ["symmetrize", "--hub-cap", "1", "-i", inp]
+        proc = run_python(["-c", "import sys, reachsym.cli as c\n"
+                           "for _ in range(2): c.main(sys.argv[1:])", *argv])
+        assert proc.returncode == 0, proc.stderr
+        assert [line for line in proc.stderr.decode().splitlines()
+                if line.startswith("warning:")] == \
+            ["warning: hub cap 1: skipping 3 common-neighbor node(s)"] * 2
+
     def test_enclosing_recorder_still_gets_warnings(self, tmp_path, capsys):
         inp = write(tmp_path / "g.tsv", TWO_SOURCES)
         before = warnings.formatwarning
@@ -492,6 +504,32 @@ def test_failed_stdout_write_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert main(["symmetrize", "-i", inp]) == 2
     assert sys.stdout is stdout
     assert assert_one_error_line(capsys) == "error: [Errno 32] Broken pipe"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+@pytest.mark.parametrize("argv", [["symmetrize", "-i"], ["stats", "-i"],
+                                  ["hierarchy", "-i"], ["symmetrize", "--help"]],
+                         ids=["symmetrize", "stats", "hierarchy", "help"])
+def test_closed_stdout_pipe_is_one_error_line(tmp_path, argv, encoding):
+    """Stdout is a pipe whose reader has exited before the start: whatever
+    is left in stdout's buffer at the end, the run is exit 2 and one error
+    line, with no report of a failed flush at exit."""
+    if argv[-1] == "-i":
+        argv = argv + [write(tmp_path / "g.tsv", TWO_SOURCES)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=path, PYTHONIOENCODING=encoding)
+    read, write_end = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "reachsym", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode().splitlines()) == \
+        (2, ["error: [Errno 32] Broken pipe"])
 
 
 class TestOutputFile:
