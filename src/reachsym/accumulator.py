@@ -75,9 +75,17 @@ class SimilarityAccumulator:
     def select(self, keep: np.ndarray) -> "SimilarityAccumulator":
         """The pairs where the boolean mask ``keep`` is true.  When it keeps
         them all this is ``self``, so no pair array is copied."""
-        if keep.all():
+        kept = np.count_nonzero(keep)
+        if kept == len(keep):
             return self
-        at = np.flatnonzero(keep)  # gathers by index beat a sparse mask's
-        return SimilarityAccumulator(
-            self.n, np.searchsorted(at, self.indptr).astype(self.indptr.dtype),
-            self.v[at], self.w[at])
+        if kept <= len(keep) // 2:
+            # By index is faster than by mask, and its index array, 8 bytes a
+            # kept pair, takes no more than the counts below, 4 bytes a pair.
+            at = np.flatnonzero(keep)
+            return SimilarityAccumulator(
+                self.n, np.searchsorted(at, self.indptr).astype(self.indptr.dtype),
+                self.v[at], self.w[at])
+        before = np.zeros(len(keep) + 1, dtype=self.indptr.dtype)
+        np.cumsum(keep, out=before[1:])  # kept pairs before each position
+        return SimilarityAccumulator(self.n, before[self.indptr], self.v[keep],
+                                     self.w[keep])

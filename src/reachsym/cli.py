@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import io
 import math
 import os
 import sys
@@ -210,6 +211,14 @@ def _emit(args, write_fn) -> None:
         raise
 
 
+class _Utf8Stdout(io.TextIOWrapper):
+    """UTF-8 text written through to another stream's buffer, which stays
+    open when this layer is closed or collected."""
+
+    def close(self) -> None:
+        pass
+
+
 def main(argv=None) -> int:
     # A warning prints as one line; filters and recorders still apply.  Each
     # call runs on a copy of the filters, which starts a fresh once-per-line
@@ -217,11 +226,11 @@ def main(argv=None) -> int:
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     # Stdout, --help included, carries the UTF-8 bytes of -o in any locale.
-    # The writer holds no buffer of its own and never closes out's.
+    # The layer holds no text of its own and never closes out's buffer.
     out = sys.stdout
     if getattr(out, "buffer", None) and codecs.lookup(out.encoding).name != "utf-8":
         out.flush()
-        sys.stdout = codecs.getwriter("utf-8")(out.buffer)
+        sys.stdout = _Utf8Stdout(out.buffer, "utf-8", write_through=True)
     try:
         with warnings.catch_warnings():
             args = build_parser().parse_args(argv)

@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .accumulator import SimilarityAccumulator, index_dtype
 from .closure import LocalClosure, _check_depth, local_closure, weighted_closure
@@ -258,17 +257,14 @@ def sparsify_top_t(pairs: SimilarityAccumulator, t: int) -> SimilarityAccumulato
     tau = np.full(n, -np.inf)
     last = np.full(n, n, dtype=pairs.v.dtype)
 
-    def row_weights(rows, width):
-        """Each row's weights by ascending partner: those below it, then
-        those above it."""
+    for rows, width in _degree_blocks(heavy, deg, cells):
+        # Each row's weights by ascending partner: those below it, then those
+        # above it.
         block = np.full((len(rows), width), -np.inf)
         nlo = cptr[rows + 1] - cptr[rows]
         _place(block, below, cptr[rows], nlo, 0)
         _place(block, w, uptr[rows], uptr[rows + 1] - uptr[rows], nlo)
-        return block
-
-    for rows, block in _degree_blocks(heavy, deg, cells, row_weights):
-        k = block.shape[1] - t
+        k = width - t
         top = np.partition(block, k, axis=1)
         tau[rows] = top[:, k]
         # Columns k on hold the t largest, room of them equal to tau.  A tie
@@ -302,7 +298,8 @@ def sparsify_top_t(pairs: SimilarityAccumulator, t: int) -> SimilarityAccumulato
 
 def _top_t_cut(pairs: SimilarityAccumulator, t: int,
                cells: int) -> SimilarityAccumulator:
-    """The pairs whose weight is at least tau_up at either end.
+    """The pairs whose weight is at least tau_up at either end, or all of
+    them when that is over half.
 
     tau_up[r], the t-th largest weight in row r of the pairs (its partners
     above r; -inf for fewer than t), is at most tau[r].  A pair below it at
@@ -315,33 +312,30 @@ def _top_t_cut(pairs: SimilarityAccumulator, t: int,
     if not len(wide):
         return pairs
 
-    def row_weights(rows, width):
-        """Each row's weights, read through a window of ``w`` at its start
-        (moved back to end inside ``w``), with the cells outside it -inf."""
-        start = uptr[rows]
-        at = np.minimum(start, len(w) - width)
-        block = sliding_window_view(w, width)[at]
-        col, lo = np.arange(width), (start - at)[:, None]
-        np.copyto(block, -np.inf, where=(col < lo) | (col >= lo + updeg[rows, None]))
-        return block
-
     tau_up = np.full(pairs.n, -np.inf)
-    for rows, block in _degree_blocks(wide, updeg, cells, row_weights):
-        block.partition(block.shape[1] - t, axis=1)
+    for rows, width in _degree_blocks(wide, updeg, cells):
+        block = np.full((len(rows), width), -np.inf)
+        _place(block, w, uptr[rows], updeg[rows], 0)
+        block.partition(width - t, axis=1)
         tau_up[rows] = block[:, -t]
+        del block  # before the next one is filled
     cut = np.empty(len(w), dtype=bool)
     for s in range(0, len(w), cells):
         ws = w[s:s + cells]
         np.logical_or(ws >= pairs.rows(s, s + cells, tau_up),
                       ws >= tau_up.take(pairs.v[s:s + cells]), out=cut[s:s + cells])
+    # The kept pairs' copy is held beside their transpose, about 24 bytes a
+    # kept pair against 12 a pair for a transpose of them all; past half, the
+    # pairs go on uncut.
+    if np.count_nonzero(cut) > len(w) // 2:
+        return pairs
     return pairs.select(cut)
 
 
-def _degree_blocks(rows: np.ndarray, deg: np.ndarray, cells: int, row_weights):
-    """Yield (rows, row_weights(rows, width)) over ``rows`` by ascending
-    degree: the block holds each row's deg[r] values, -inf in its other
-    cells.  Rows of one degree class (deg in (2^(c-1), 2^c]) share blocks of
-    at most ``cells`` cells, their width the block's largest degree."""
+def _degree_blocks(rows: np.ndarray, deg: np.ndarray, cells: int):
+    """Yield (rows, width) over ``rows`` by ascending degree: rows of one
+    degree class (deg in (2^(c-1), 2^c]) in groups of at most ``cells``
+    cells, width the group's largest degree."""
     rows = rows[np.argsort(deg[rows], kind="stable")]
     cls = np.frexp(deg[rows] - 1)[1]
     bounds = np.flatnonzero(np.r_[True, cls[1:] != cls[:-1], True]).tolist()
@@ -349,9 +343,7 @@ def _degree_blocks(rows: np.ndarray, deg: np.ndarray, cells: int, row_weights):
         step = max(1, cells >> int(cls[b0]))
         for c0 in range(b0, b1, step):
             part = rows[c0:min(c0 + step, b1)]
-            block = row_weights(part, int(deg[part[-1]]))
-            yield part, block
-            del block  # before the next one is filled
+            yield part, int(deg[part[-1]])
 
 
 def _place(block: np.ndarray, src: np.ndarray, starts: np.ndarray,

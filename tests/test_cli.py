@@ -506,6 +506,46 @@ def test_failed_stdout_write_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert assert_one_error_line(capsys) == "error: [Errno 32] Broken pipe"
 
 
+class _Recorder(io.RawIOBase):
+    """A pipe that keeps what each write to it hands over."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes.append(bytes(b))
+        return len(b)
+
+
+def test_ascii_stdout_is_written_line_by_line(tmp_path, monkeypatch):
+    """Under an ASCII stdout, main() writes hierarchy's UTF-8 lines through
+    to stdout's buffer one at a time, not as one string, and the stream its
+    commands see has an encoding and a buffer."""
+    inp = tmp_path / "g.tsv"
+    inp.write_text("".join(f"节点{i}\t{i + 1}\n" for i in range(200)),
+                   encoding="utf-8")
+    dst = tmp_path / "out.tsv"
+    assert main(["hierarchy", "-i", str(inp), "-o", str(dst)]) == 0
+    raw = _Recorder()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=16),
+                              encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    seen, scores = [], cli.auto_hierarchy
+
+    def auto_hierarchy(g):
+        seen.append((sys.stdout.encoding, sys.stdout.buffer))
+        return scores(g)
+
+    monkeypatch.setattr(cli, "auto_hierarchy", auto_hierarchy)
+    assert main(["hierarchy", "-i", str(inp)]) == 0
+    assert sys.stdout is stdout and seen == [("utf-8", stdout.buffer)]
+    assert b"".join(raw.writes) == dst.read_bytes()
+    assert len(raw.writes) > 100 and max(map(len, raw.writes)) < 64
+
+
 @pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
 @pytest.mark.parametrize("argv", [["symmetrize", "-i"], ["stats", "-i"],
                                   ["hierarchy", "-i"], ["symmetrize", "--help"]],

@@ -370,11 +370,23 @@ class TestSparsifyTopT:
         with mock.patch.object(similarity, "_TOP_T_CHUNK", chunk):
             self.assert_matches_reference(g, t)
 
-    def test_cut_keeps_a_quarter_of_a_power_law_pair_set(self):
-        # 24.5 % kept (18.5 % on the benchmark's larger graph): the
-        # thresholds and ties are settled over these pairs alone.
+    @staticmethod
+    def power_law_pairs(hubs_last):
+        """The l = 2 pairs of a power-law graph whose hubs hold the lowest
+        node indices, or with its indices reversed, the highest."""
         g = powerlaw_digraph(3000, 6000, 0.45, seed=1)
-        pairs = symmetrize(g, cfg(l=2))
+        if hubs_last:
+            a = g.adj.tocoo()
+            g = graph_from_pairs(zip((g.n - 1 - a.row).tolist(),
+                                     (g.n - 1 - a.col).tolist()), g.n)
+        return symmetrize(g, cfg(l=2))
+
+    @pytest.mark.parametrize("hubs_last", [False, True], ids=["hubs-first", "hubs-last"])
+    def test_cut_keeps_a_quarter_of_a_power_law_pair_set(self, hubs_last):
+        # 24.5 % kept with the hubs first (18.5 % on the benchmark's larger
+        # graph), 21.3 % with them last, whose rows above them are short: the
+        # thresholds and ties are settled over these pairs alone.
+        pairs = self.power_law_pairs(hubs_last)
         cut = similarity._top_t_cut(pairs, 10, 1 << 14)
         assert len(pairs) > 300_000
         assert len(cut) < 0.27 * len(pairs)
@@ -434,7 +446,7 @@ class TestSparsifyTopT:
 
     @pytest.mark.parametrize("t", [1, 10])
     def test_peak_memory_per_pair(self, t):
-        # 3.2 (t = 1) and 9.9 (t = 10) bytes per pair: only the pairs that
+        # 3.4 (t = 1) and 9.9 (t = 10) bytes per pair: only the pairs that
         # pass the cut, 5 % and 31 % of them, are transposed.  A transpose of
         # all of them took 12.1.
         g = random_pairs(2000, 400_000, 5)
@@ -442,13 +454,33 @@ class TestSparsifyTopT:
         assert len(g) > 180_000 and 0 < len(out) < len(g)
         assert peak < 11 * len(g)
 
+    def test_peak_memory_per_pair_hubs_last(self):
+        # 7.0 bytes per pair (7.6 with the hubs first).
+        pairs = self.power_law_pairs(hubs_last=True)
+        out, peak = traced_peak(sparsify_top_t, pairs, 10)
+        assert 0 < len(out) < len(pairs)
+        assert peak < 9 * len(pairs)
+
     @pytest.mark.parametrize("t", [1, 10])
     def test_peak_memory_per_pair_every_weight_tied(self, t):
-        # 14.7 bytes per pair: the cut keeps every pair, and ties are settled
+        # 14.5 bytes per pair: the cut keeps every pair, and ties are settled
         # slice by slice; holding the ties of all rows at once took 132, and
         # a full-size cut test by row, 15.1.
         g = random_pairs(2000, 400_000, 5)
         g = pair_set(g.n, g.u, g.v, np.ones(len(g)))
+        out, peak = traced_peak(sparsify_top_t, g, t)
+        assert 0 < len(out) < len(g)
+        assert peak < 15 * len(g)
+
+    @pytest.mark.parametrize("t", [1, 10])
+    def test_peak_memory_per_pair_most_weights_tied(self, t):
+        # The cut would keep 95 % of the pairs, and a copy of them held
+        # beside their transpose took 24.5 bytes per pair; past half they go
+        # on uncut, at the 14.5 of the all-tied set.
+        g = random_pairs(2000, 400_000, 5)
+        w = np.where(np.random.default_rng(5).random(len(g)) < 0.05, 0.5, 1.0)
+        g = pair_set(g.n, g.u, g.v, w)
+        assert similarity._top_t_cut(g, t, 1 << 14) is g
         out, peak = traced_peak(sparsify_top_t, g, t)
         assert 0 < len(out) < len(g)
         assert peak < 15 * len(g)
@@ -482,6 +514,33 @@ class TestNothingDropped:
         m = acc.to_matrix()
         for a, b in ((m.indptr, acc.indptr), (m.indices, acc.v), (m.data, acc.w)):
             assert np.shares_memory(a, b)
+
+
+class TestSelect:
+    @given(canonical_pairs(max_n=16, max_pairs=80), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_pairs_built_from_the_mask(self, case, data):
+        # Masks keeping at most half the pairs are gathered by index, the
+        # others by mask.
+        n, u, v, w = case
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(w),
+                                           max_size=len(w))), dtype=bool)
+        g = pair_set(n, u, v.astype(index_dtype(n)), w)
+        out = g.select(keep)
+        want = pair_set(n, u[keep], g.v[keep], w[keep])
+        assert out.indptr.dtype == g.indptr.dtype
+        for a, b in ((out.indptr, want.indptr), (out.v, want.v), (out.w, want.w)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("share", [0.186, 0.95])
+    def test_peak_memory_per_pair(self, share):
+        # 3.7 and 15.4 bytes per pair: a gather by index, at 8 bytes a kept
+        # pair, took 19.0 at 95 %.
+        g = random_pairs(2000, 400_000, 5)
+        keep = np.random.default_rng(6).random(len(g)) < share
+        out, peak = traced_peak(g.select, keep)
+        assert len(out) == np.count_nonzero(keep)
+        assert peak < (4.5 + 12 * share) * len(g)
 
 
 class TestAccumulatorAdd:
