@@ -132,17 +132,17 @@ def run_symmetrize(args) -> int:
         raise ValidationError("--weighted only applies to --method degree-discounted")
     if args.hierarchy == "none" and (args.gamma is not None or args.delta is not None):
         raise ValidationError("--gamma/--delta require --hierarchy auto or file:PATH")
-    l = _parse_depth(args.l) if args.l is not None else 2
-    g = _load_graph(args)
-    scores = _resolve_hierarchy(args, g)
     cfg = SymmetrizationConfig(
-        method=args.method, l=l, alpha=args.alpha, beta=args.beta,
+        method=args.method, l=_parse_depth(args.l) if args.l is not None else 2,
+        alpha=args.alpha, beta=args.beta,
         gamma=args.gamma if args.gamma is not None else 1.0,
         delta=args.delta if args.delta is not None else 1.0,
         epsilon=args.epsilon, top_t=args.top_t, hub_cap=args.hub_cap)
+    cfg.validate()  # every flag is checked before the input is read
     if args.threads < 1:
         raise ValidationError("threads must be ≥ 1")
-    result = symmetrize(g, cfg, scores)
+    g = _load_graph(args)
+    result = symmetrize(g, cfg, _resolve_hierarchy(args, g))
     _emit(args, lambda f: write_undirected(result, g.labels, f,
                                            precision=args.precision))
     print(f"nodes={g.n} edges={g.edge_count} "

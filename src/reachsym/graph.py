@@ -35,7 +35,6 @@ class DirectedGraph:
     n: int
     labels: list[str]
     adj: sp.csr_matrix            # n x n, positive float weights (1.0 if unweighted)
-    weighted: bool = False
     self_loops_dropped: int = 0
 
     def __post_init__(self):
@@ -47,7 +46,7 @@ class DirectedGraph:
 
 
 def _build_graph(labels: list[str], u: np.ndarray, v: np.ndarray,
-                 w: np.ndarray | None, weighted: bool) -> DirectedGraph:
+                 w: np.ndarray | None) -> DirectedGraph:
     """Graph over ``labels`` from parallel edge arrays in input order.
     Self-loops are dropped and counted.  Duplicate edges collapse to unit
     weight when ``w`` is None, else to their weights summed in input order."""
@@ -64,8 +63,7 @@ def _build_graph(labels: list[str], u: np.ndarray, v: np.ndarray,
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
     adj = sp.csr_matrix((data, key % n, indptr), shape=(n, n))
-    return DirectedGraph(n, labels, adj, weighted=weighted,
-                         self_loops_dropped=len(keep) - len(u))
+    return DirectedGraph(n, labels, adj, self_loops_dropped=len(keep) - len(u))
 
 
 def _line_error(parts: list[str], line_no: int, weighted: bool) -> None:
@@ -135,7 +133,7 @@ def load_edge_list(stream: IO[str], weighted: bool = False) -> DirectedGraph:
     ids, firsts = _intern(raw, b, fs, fe - fs) if len(start) else (fs, fs)
     labels = _ranges(b, fs[firsts], fe[firsts])
     del raw, b, start, end, tab, lo, fs, fe  # not held while the CSR is built
-    return _build_graph(labels, ids[0::2], ids[1::2], w, weighted)
+    return _build_graph(labels, ids[0::2], ids[1::2], w)
 
 
 # Tokens over this many bytes are interned by a dict: from about 48 bytes on
@@ -192,8 +190,7 @@ def graph_from_pairs(pairs, n: int | None = None, weights=None) -> DirectedGraph
     if len(uv) and (uv.min() < 0 or uv.max() >= n):
         raise ValueError(f"pair index outside 0..{n - 1}")
     w = None if weights is None else np.asarray(weights, dtype=np.float64)
-    return _build_graph([str(i) for i in range(n)], uv[:, 0], uv[:, 1], w,
-                        weights is not None)
+    return _build_graph([str(i) for i in range(n)], uv[:, 0], uv[:, 1], w)
 
 
 # Pairs per written slice; its byte records stay well under the parser's

@@ -112,7 +112,7 @@ def load_hierarchy(stream: Iterable[str], g: DirectedGraph) -> HierarchyScores:
     return HierarchyScores(_normalize(raw))
 
 
-_SLICE = 1 << 15  # pairs per gather of the v-side scores
+_SLICE = 1 << 15  # entries per gather of the column scores
 
 
 def pair_hierarchy_discount(acc: SimilarityAccumulator, h: HierarchyScores,
@@ -120,20 +120,21 @@ def pair_hierarchy_discount(acc: SimilarityAccumulator, h: HierarchyScores,
     """Divide each pair weight by (1 + |h(u) - h(v)|)^gamma."""
     if gamma < 0:
         raise ValidationError("gamma must be ≥ 0")
-    w = np.repeat(h.score, np.diff(acc.indptr))  # in place from here, same bits
-    for s in range(0, len(w), _SLICE):
-        w[s:s + _SLICE] -= h.score[acc.v[s:s + _SLICE]]
-    np.abs(w, out=w)
-    w += 1.0
-    w **= -gamma
+    w = neighbor_discount_data(acc.indptr, acc.v, h, gamma)
     w *= acc.w
     return SimilarityAccumulator(acc.n, acc.indptr, acc.v, w).select(w != 0.0)
 
 
 def neighbor_discount_data(indptr: np.ndarray, indices: np.ndarray,
-                           h: HierarchyScores, delta: float) -> np.ndarray:
-    """The factor (1 + |h(i) - h(k)|)^-delta for every (i, k) position of a
-    CSR reach matrix.  Common neighbor k of the pair (i, j) is damped by the
-    product of the i-side and j-side factors."""
-    s = h.score
-    return (1.0 + np.abs(np.repeat(s, np.diff(indptr)) - s[indices])) ** -delta
+                           h: HierarchyScores, e: float) -> np.ndarray:
+    """The factor (1 + |h(row) - h(col)|)^-e for every entry of a CSR matrix,
+    a pair set's rows or a reach matrix.  Common neighbor k of the pair
+    (i, j) is damped by the product of the (i, k) and (j, k) factors."""
+    d = np.repeat(h.score, np.diff(indptr))  # in place from here, same bits
+    for s in range(0, len(d), _SLICE):
+        x = d[s:s + _SLICE]
+        x -= h.score[indices[s:s + _SLICE]]
+        np.abs(x, out=x)
+        x += 1.0
+        x **= -e
+    return d

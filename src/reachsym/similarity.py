@@ -59,20 +59,13 @@ class SymmetrizationConfig:
                 raise ValidationError("hub_cap must be ≥ 1")
 
 
-def _degree_discount(deg: np.ndarray, exponent: float,
-                     cap: Optional[int] = None) -> np.ndarray:
+def _degree_discount(deg: np.ndarray, exponent: float) -> np.ndarray:
     """deg^-exponent with zero-degree entries mapped to 0 (they can never
     contribute, so the 0^-x singularity is never evaluated)."""
     deg = np.asarray(deg, dtype=np.float64)
     out = np.zeros(len(deg))
     nz = deg > 0
     out[nz] = deg[nz] ** -exponent
-    if cap is not None:
-        over = deg > cap
-        if over.any():
-            warnings.warn(f"hub cap {cap}: skipping {int(over.sum())} "
-                          "common-neighbor node(s)", stacklevel=4)
-            out[over] = 0.0
     return out
 
 
@@ -158,11 +151,17 @@ def _reach(c: LocalClosure, cfg: SymmetrizationConfig,
            h: Optional[HierarchyScores], R: sp.csr_matrix, outer: np.ndarray,
            a: float, inner: np.ndarray, b: float) -> SimilarityAccumulator:
     """The body of both directions.  A hub-cap warning names their caller's
-    line (stacklevel 4), so when both directions warn alike it prints once."""
+    line (stacklevel 3), so when both directions warn alike it prints once."""
     if c.l != cfg.l:
         raise ValidationError(f"closure depth {c.l} does not match config depth {cfg.l}")
-    return _co_reach(R, _degree_discount(outer, a),
-                     _degree_discount(inner, b, cap=cfg.hub_cap),
+    inner_disc = _degree_discount(inner, b)
+    if cfg.hub_cap is not None:
+        over = inner > cfg.hub_cap
+        if over.any():
+            warnings.warn(f"hub cap {cfg.hub_cap}: skipping {int(over.sum())} "
+                          "common-neighbor node(s)", stacklevel=3)
+            inner_disc[over] = 0.0
+    return _co_reach(R, _degree_discount(outer, a), inner_disc,
                      None if h is None else
                      neighbor_discount_data(R.indptr, R.indices, h, cfg.delta))
 

@@ -40,7 +40,7 @@ def in_neighbors(g: DirectedGraph, u: int) -> np.ndarray:
 
 def reversed_graph(g: DirectedGraph) -> DirectedGraph:
     """Graph with every edge direction flipped (labels preserved)."""
-    return DirectedGraph(g.n, g.labels, g.adj.T.tocsr(), weighted=g.weighted,
+    return DirectedGraph(g.n, g.labels, g.adj.T.tocsr(),
                          self_loops_dropped=g.self_loops_dropped)
 
 

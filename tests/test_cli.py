@@ -299,6 +299,25 @@ class TestRejectedInputs:
         assert capsys.readouterr().out == want != ""
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "-1"], ["--threads", "0"], ["--top-t", "0"],
+        ["--hub-cap", "5", "--method", "bibliometric"]],
+        ids=["alpha", "threads", "top-t", "hub-cap"])
+    def test_flags_checked_before_the_input_is_read(self, tmp_path, capsys,
+                                                    flags):
+        missing = str(tmp_path / "nope.tsv")
+        assert main(["symmetrize", "-i", missing, *flags]) == 1
+        assert "nope.tsv" not in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("scores", ["", "# no scores\n"])
+    def test_hierarchy_file_on_an_empty_graph(self, tmp_path, capsys, scores):
+        inp = write(tmp_path / "g.tsv", "# only a comment\n")
+        hf = write(tmp_path / "h.tsv", scores)
+        assert main(["symmetrize", "--hierarchy", f"file:{hf}", "--top-t", "2",
+                     "-i", inp]) == 0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("nodes=0 edges=0 undirected_edges=0")
+
     @pytest.mark.parametrize("method", ["degree-discounted", "bibliometric"])
     def test_hub_cap_rejected_for_first_order(self, tmp_path, capsys, method):
         inp = write(tmp_path / "g.tsv", "u\tw\nv\tw\nx\tu\nx\tv\n")

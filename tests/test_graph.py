@@ -200,7 +200,7 @@ class TestGraphFromPairs:
 
     def test_weighted_duplicates_sum_and_loops_count(self):
         g = graph_from_pairs([(0, 1), (1, 1), (0, 1)], weights=[0.5, 9.0, 2.0])
-        assert g.n == 2 and g.weighted and g.self_loops_dropped == 1
+        assert g.n == 2 and g.self_loops_dropped == 1
         assert g.adj.toarray().tolist() == [[0.0, 2.5], [0.0, 0.0]]
 
 

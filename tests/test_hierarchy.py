@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from reachsym import (HierarchyScores, ParseError, SymmetrizationConfig,
                       ValidationError, auto_hierarchy, graph_from_pairs,
-                      load_edge_list, load_hierarchy, pair_hierarchy_discount,
-                      symmetrize)
+                      load_edge_list, load_hierarchy, local_closure,
+                      pair_hierarchy_discount, symmetrize)
 from reachsym import hierarchy
 
 from conftest import (digraphs, pair_set, random_digraph, random_pairs,
@@ -105,6 +105,12 @@ class TestLoadHierarchy:
                            self.graph())
         assert h.score.tolist() == [0.0, 0.5, 1.0]
 
+    def test_empty_graph(self):
+        g = load_edge_list(io.StringIO("# no edges\n"))
+        for text in ("", "# no scores\n"):
+            h = load_hierarchy(io.StringIO(text), g)
+            assert h.score.dtype == np.float64 and len(h) == 0
+
     def test_duplicate_label_rejected(self):
         with pytest.raises(ParseError,
                            match="line 4: duplicate score for label 'a'"):
@@ -159,12 +165,22 @@ class TestPairHierarchyDiscount:
     @given(st.integers(1, 5), st.floats(0, 3))
     @settings(max_examples=50, deadline=None)
     def test_sliced_bit_equal_to_one_pass(self, slice_, gamma):
+        # The pair discount and the neighbor discount over a closure's CSR
+        # share one sliced kernel.
         acc = random_pairs(30, 200, 3)
         s = np.random.default_rng(4).random(30)
+        R = local_closure(random_digraph(np.random.default_rng(5), 30, 0.1),
+                          2).out_mat
+        rows = np.repeat(np.arange(30), np.diff(R.indptr))
         with mock.patch.object(hierarchy, "_SLICE", slice_):
             out = pair_hierarchy_discount(acc, HierarchyScores(s), gamma)
+            disc = hierarchy.neighbor_discount_data(R.indptr, R.indices,
+                                                    HierarchyScores(s), gamma)
         w = (np.abs(s[acc.u] - s[acc.v]) + 1.0) ** -gamma * acc.w
         assert out.w.tobytes() == w.tobytes()
+        assert R.nnz > 5 * slice_
+        assert disc.tobytes() == \
+            ((1.0 + np.abs(s[rows] - s[R.indices])) ** -gamma).tobytes()
 
     def test_peak_memory_per_pair(self):
         # 9.7 bytes per pair, 8 of them the new weights; a full-size gather
