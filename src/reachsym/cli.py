@@ -15,6 +15,7 @@ import sys
 import time
 import warnings
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 
@@ -56,21 +57,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("symmetrize", help="compute the undirected similarity graph")
     add_io(s)
-    s.add_argument("--method", default="reach", choices=METHODS)
-    s.add_argument("--l", default=None, metavar="DEPTH",
-                   help="reach depth bound: integer ≥ 1 or 'inf' (default 2)")
-    s.add_argument("--alpha", type=float, default=0.5)
-    s.add_argument("--beta", type=float, default=0.5)
-    s.add_argument("--gamma", type=float, default=None,
-                   help="pair-level hierarchy exponent (default 1)")
-    s.add_argument("--delta", type=float, default=None,
-                   help="common-neighbor hierarchy exponent (default 1)")
+    # A config flag that is not given is None: the config's default applies.
+    default = SymmetrizationConfig
+    s.add_argument("--method", choices=METHODS)
+    s.add_argument("--l", metavar="DEPTH", help="reach depth bound: integer ≥ 1 "
+                   f"or 'inf' (default {default.l})")
+    s.add_argument("--alpha", type=float)
+    s.add_argument("--beta", type=float)
+    s.add_argument("--gamma", type=float, help="pair-level hierarchy exponent "
+                   f"(default {default.gamma})")
+    s.add_argument("--delta", type=float, help="common-neighbor hierarchy "
+                   f"exponent (default {default.delta})")
     s.add_argument("--hierarchy", default="none", metavar="none|auto|file:PATH")
-    s.add_argument("--epsilon", type=float, default=0.0,
-                   help="drop pair weights ≤ epsilon")
-    s.add_argument("--top-t", type=int, default=None,
+    s.add_argument("--epsilon", type=float, help="drop pair weights ≤ epsilon")
+    s.add_argument("--top-t", type=int,
                    help="keep only each node's top-t edges (union semantics)")
-    s.add_argument("--hub-cap", type=int, default=None,
+    s.add_argument("--hub-cap", type=int,
                    help="reach only: skip common neighbors above this "
                         "closure degree")
     s.add_argument("--weighted", action="store_true",
@@ -114,31 +116,30 @@ def _load_graph(args) -> DirectedGraph:
 
 
 def _resolve_hierarchy(args, g):
-    choice = args.hierarchy
-    if choice == "none":
+    if args.hierarchy == "none":
         return None
-    if choice == "auto":
+    if args.hierarchy == "auto":
         return auto_hierarchy(g)
-    if choice.startswith("file:"):
-        return _parse_file(choice[len("file:"):], load_hierarchy, g)
-    raise ValidationError(f"invalid --hierarchy value {choice!r}")
+    return _parse_file(args.hierarchy[len("file:"):], load_hierarchy, g)
 
 
 def run_symmetrize(args) -> int:
     t0 = time.perf_counter()
-    if args.l is not None and args.method != "reach":
-        raise ValidationError("--l only applies to --method reach")
-    if args.weighted and args.method != "degree-discounted":
+    # Every flag is checked before the input is read.
+    given = {f.name: getattr(args, f.name) for f in fields(SymmetrizationConfig)}
+    depth = given.pop("l")
+    cfg = SymmetrizationConfig(**{k: v for k, v in given.items() if v is not None})
+    if depth is not None:
+        if cfg.method != "reach":
+            raise ValidationError("--l only applies to --method reach")
+        cfg.l = _parse_depth(depth)
+    if args.weighted and cfg.method != "degree-discounted":
         raise ValidationError("--weighted only applies to --method degree-discounted")
     if args.hierarchy == "none" and (args.gamma is not None or args.delta is not None):
         raise ValidationError("--gamma/--delta require --hierarchy auto or file:PATH")
-    cfg = SymmetrizationConfig(
-        method=args.method, l=_parse_depth(args.l) if args.l is not None else 2,
-        alpha=args.alpha, beta=args.beta,
-        gamma=args.gamma if args.gamma is not None else 1.0,
-        delta=args.delta if args.delta is not None else 1.0,
-        epsilon=args.epsilon, top_t=args.top_t, hub_cap=args.hub_cap)
-    cfg.validate()  # every flag is checked before the input is read
+    if args.hierarchy not in ("none", "auto") and not args.hierarchy.startswith("file:"):
+        raise ValidationError(f"invalid --hierarchy value {args.hierarchy!r}")
+    cfg.validate(hierarchy=args.hierarchy != "none")
     if args.threads < 1:
         raise ValidationError("threads must be ≥ 1")
     g = _load_graph(args)

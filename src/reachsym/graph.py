@@ -308,8 +308,6 @@ def condensation(g: DirectedGraph) -> tuple[np.ndarray, sp.csr_matrix]:
     contiguous), and row c of the boolean CSR ``dag`` holds the sorted
     distinct successor SCCs of c.
     """
-    if g.n == 0:
-        return np.empty(0, dtype=np.int64), sp.csr_matrix((0, 0), dtype=bool)
     ncomp, comp = connected_components(g.adj, directed=True, connection="strong")
     coo = g.adj.tocoo()
     cu = comp[coo.row]

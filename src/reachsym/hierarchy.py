@@ -58,8 +58,6 @@ def auto_hierarchy(g: DirectedGraph) -> HierarchyScores:
     """
     comp, dag = condensation(g)
     c = dag.shape[0]
-    if c == 0:
-        return HierarchyScores(np.empty(0, dtype=np.float64))
     indptr, indices = dag.indptr.tolist(), dag.indices.tolist()
     indeg = np.bincount(dag.indices, minlength=c).tolist()
     depth = [0] * c

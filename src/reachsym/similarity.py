@@ -42,7 +42,9 @@ class SymmetrizationConfig:
     hub_cap: Optional[int] = None    # reach only: skip common neighbors above
                                      # this closure degree
 
-    def validate(self) -> None:
+    def validate(self, hierarchy: bool = False) -> None:
+        """Raise ValidationError unless this config is valid, also with
+        hierarchy scores when ``hierarchy`` is true."""
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
         _check_depth(self.l)
@@ -57,6 +59,8 @@ class SymmetrizationConfig:
                 raise ValidationError("hub_cap only applies to method 'reach'")
             if self.hub_cap < 1:
                 raise ValidationError("hub_cap must be ≥ 1")
+        if hierarchy and self.method != "reach":
+            raise ValidationError("hierarchy refinements require method 'reach'")
 
 
 def _degree_discount(deg: np.ndarray, exponent: float) -> np.ndarray:
@@ -185,15 +189,12 @@ def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
     """Full pipeline: similarity accumulation, hierarchy discounts when
     scores ``h`` are given, epsilon thresholding, optional top-t
     sparsification."""
-    cfg.validate()
-    if h is not None:
-        if cfg.method != "reach":
-            raise ValidationError("hierarchy refinements require method 'reach'")
-        if len(h) != g.n:
-            missing = g.labels[len(h):] if len(h) < g.n else []
-            raise ValidationError(
-                "hierarchy scores must cover every node; missing: "
-                + ", ".join(missing))
+    cfg.validate(hierarchy=h is not None)
+    if h is not None and len(h) != g.n:
+        raise ValidationError(
+            f"one hierarchy score per node: {len(h)} scores for {g.n} nodes"
+            if len(h) > g.n else "hierarchy scores must cover every node; "
+            "missing: " + ", ".join(g.labels[len(h):]))
 
     if cfg.method == "reach":
         c = local_closure(g, cfg.l)

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from reachsym import SymmetrizationConfig, load_edge_list, write_undirected
+from reachsym import (SymmetrizationConfig, auto_hierarchy, load_edge_list,
+                      symmetrize, write_undirected)
 from reachsym import cli
 from reachsym.cli import main
 
@@ -117,6 +118,29 @@ class TestSymmetrizeCommand:
         assert main(["symmetrize", "--method", "degree-discounted",
                      "-i", inp, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("given, explicit", [
+        ([], ["--method", "reach", "--l", "2", "--alpha", "0.5", "--beta", "0.5",
+              "--epsilon", "0"]),
+        (["--hierarchy", "auto"], ["--gamma", "1", "--delta", "1"])],
+        ids=["plain", "auto"])
+    def test_flags_not_given_take_the_config_defaults(self, tmp_path, given,
+                                                      explicit):
+        rng = np.random.default_rng(61)
+        lines = [f"n{int(u)}\tn{int(v)}"
+                 for u, v in rng.integers(0, 40, size=(150, 2)) if u != v]
+        inp = write(tmp_path / "g.tsv", "\n".join(lines) + "\n")
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        assert main(["symmetrize", *given, "-i", inp, "-o", str(a)]) == 0
+        assert main(["symmetrize", *given, *explicit, "-i", inp, "-o", str(b)]) == 0
+        with open(inp, encoding="utf-8") as f:
+            g = load_edge_list(f)
+        lib = io.StringIO()
+        write_undirected(symmetrize(g, SymmetrizationConfig(),
+                                    auto_hierarchy(g) if given else None),
+                         g.labels, lib)
+        assert a.read_bytes() == b.read_bytes() == lib.getvalue().encode()
+        assert len(lib.getvalue().splitlines()) > 100
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         rng = np.random.default_rng(59)
@@ -301,8 +325,12 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("flags", [
         ["--alpha", "-1"], ["--threads", "0"], ["--top-t", "0"],
-        ["--hub-cap", "5", "--method", "bibliometric"]],
-        ids=["alpha", "threads", "top-t", "hub-cap"])
+        ["--hub-cap", "5", "--method", "bibliometric"],
+        ["--hierarchy", "bogus"],
+        ["--hierarchy", "auto", "--method", "bibliometric"],
+        ["--hierarchy", "file:x", "--method", "degree-discounted"]],
+        ids=["alpha", "threads", "top-t", "hub-cap", "hierarchy",
+             "hierarchy-bibliometric", "hierarchy-degree-discounted"])
     def test_flags_checked_before_the_input_is_read(self, tmp_path, capsys,
                                                     flags):
         missing = str(tmp_path / "nope.tsv")

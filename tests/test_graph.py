@@ -382,6 +382,11 @@ class TestCondensation:
                 for j in range(n):
                     assert (comp[i] == comp[j]) == bool(mutual[i, j])
 
+    def test_empty_graph(self):
+        comp, dag = condensation(graph_from_pairs([], n=0))
+        assert comp.dtype == np.int64 and comp.shape == (0,)
+        assert dag.format == "csr" and dag.dtype == bool and dag.shape == (0, 0)
+
     def test_scc_ids_contiguous(self):
         g = graph_from_pairs([(0, 1), (1, 0), (1, 2), (3, 2)])
         comp, dag = condensation(g)

@@ -57,7 +57,8 @@ class TestAutoHierarchy:
 
     def test_empty_graph(self):
         g = graph_from_pairs([], n=0)
-        assert len(auto_hierarchy(g)) == 0
+        score = auto_hierarchy(g).score
+        assert score.dtype == np.float64 and score.shape == (0,)
 
 
 class TestLoadHierarchy:
@@ -231,8 +232,17 @@ class TestHierarchyInPipeline:
     def test_short_scores_name_missing_labels(self):
         g = load_edge_list(io.StringIO("a\tb\nb\tc"))
         h = HierarchyScores(np.array([0.0, 1.0]))
-        with pytest.raises(ValidationError, match="c"):
+        with pytest.raises(ValidationError,
+                           match="^hierarchy scores must cover every node; missing: c$"):
             symmetrize(g, SymmetrizationConfig(l=1), h)
+
+    def test_long_scores_give_the_counts(self):
+        # No label is missing, so the message names the counts.
+        g = load_edge_list(io.StringIO("a\tb\nb\tc"))
+        h = HierarchyScores(np.zeros(5))
+        with pytest.raises(ValidationError,
+                           match="^one hierarchy score per node: 5 scores for 3 nodes$"):
+            symmetrize(g, SymmetrizationConfig(), h)
 
     def test_hierarchy_with_baseline_method_rejected(self):
         g = graph_from_pairs([(0, 1)], n=2)

@@ -149,6 +149,15 @@ class TestSymmetrize:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             symmetrize(g, cfg(**kw))
 
+    @pytest.mark.parametrize("method", ["degree-discounted", "bibliometric"])
+    def test_hierarchy_needs_reach(self, method):
+        c = cfg(method=method)
+        c.validate()
+        with pytest.raises(ValidationError,
+                           match="^hierarchy refinements require method 'reach'$"):
+            c.validate(hierarchy=True)
+        cfg().validate(hierarchy=True)
+
     def test_large_epsilon_empties_graph(self):
         g = graph_from_pairs([(0, 2), (1, 2)], n=3)
         out = symmetrize(g, cfg(l=1, epsilon=1e9))
