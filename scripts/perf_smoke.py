@@ -28,7 +28,7 @@ def main():
     t1 = time.perf_counter()
     result = symmetrize(g, SymmetrizationConfig(l=args.l))
     t2 = time.perf_counter()
-    with open(args.output, "w") as fh:
+    with open(args.output, "wb") as fh:
         write_undirected(result, g.labels, fh)
     t3 = time.perf_counter()
 

@@ -2,7 +2,7 @@
 
 Results go to standard output (or ``-o``); summary statistics go to standard
 error so stdout stays pipe-clean TSV.  Exit codes: 0 success, 1 validation
-error, 2 I/O error, 3 parse error.
+error or memory exhausted, 2 I/O error, 3 parse error.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+import types
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -94,33 +95,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_file(path: str, parse, *args, **kwargs):
-    """``parse(stream, *args, **kwargs)`` over a UTF-8 text file; a line that
-    is not UTF-8 is a parse error."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return parse(f, *args, **kwargs)
-    except UnicodeDecodeError:
-        with open(path, "rb") as f:
-            for line_no, raw in enumerate(f, 1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise ParseError(f"invalid UTF-8 in {path}", line_no) from None
-        raise
+def _read(f) -> bytes:
+    """The bytes of the binary file ``f`` with universal newlines, as text
+    mode reads them; a line that is not UTF-8 is a parse error."""
+    data = f.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"invalid UTF-8 in {f.name}",
+                             data.count(b"\n", 0, e.start) + 1) from None
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 def _load_graph(args) -> DirectedGraph:
-    return _parse_file(args.input, load_edge_list,
-                       weighted=getattr(args, "weighted", False))
-
-
-def _resolve_hierarchy(args, g):
-    if args.hierarchy == "none":
-        return None
-    if args.hierarchy == "auto":
-        return auto_hierarchy(g)
-    return _parse_file(args.hierarchy[len("file:"):], load_hierarchy, g)
+    with open(args.input, "rb") as f:
+        held = [_read(f)]
+    # A stream whose read() hands the bytes over, so that no second copy of
+    # the input outlives the parser's padded one.
+    stream = types.SimpleNamespace(read=held.pop)
+    return load_edge_list(stream, weighted=getattr(args, "weighted", False))
 
 
 def run_symmetrize(args) -> int:
@@ -142,9 +136,14 @@ def run_symmetrize(args) -> int:
     cfg.validate(hierarchy=args.hierarchy != "none")
     if args.threads < 1:
         raise ValidationError("threads must be ≥ 1")
-    g = _load_graph(args)
-    result = symmetrize(g, cfg, _resolve_hierarchy(args, g))
-    _emit(args, lambda f: write_undirected(result, g.labels, f,
+    # A scores file that cannot be opened fails before the input is read.
+    path = args.hierarchy[len("file:"):] if args.hierarchy.startswith("file:") else None
+    with open(path, "rb") if path is not None else io.BytesIO() as scores:
+        g = _load_graph(args)
+        h = (None if args.hierarchy == "none" else auto_hierarchy(g) if path is None
+             else load_hierarchy(io.StringIO(_read(scores).decode()), g))
+    result = symmetrize(g, cfg, h)
+    _emit(args, lambda f: write_undirected(result, g.raw_labels, f,
                                            precision=args.precision))
     print(f"nodes={g.n} edges={g.edge_count} "
           f"undirected_edges={len(result)} "
@@ -157,8 +156,8 @@ def run_hierarchy(args) -> int:
     g = _load_graph(args)
     scores = auto_hierarchy(g)
     fmt = f"%.{args.precision}f"
-    _emit(args, lambda f: f.writelines(
-        f"{lab}\t{fmt % s}\n" for lab, s in zip(g.labels, scores.score.tolist())))
+    _emit(args, lambda f: f.writelines(f"{lab}\t{fmt % s}\n".encode() for lab, s
+                                       in zip(g.labels, scores.score.tolist())))
     return 0
 
 
@@ -189,15 +188,16 @@ def _emit(args, write_fn) -> None:
     was; anything else (``/dev/null``, a FIFO) is written in place."""
     path = getattr(args, "output", None)
     if not path:
-        write_fn(sys.stdout)
-        return sys.stdout.flush()  # a closed pipe fails here, before the summary
+        sys.stdout.flush()
+        write_fn(sys.stdout.buffer)
+        return sys.stdout.buffer.flush()  # a closed pipe fails here, before the summary
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as f:
+        with open(path, "wb") as f:
             return write_fn(f)
     target = os.path.realpath(path)  # replace a symlink's target, not the link
     tmp = f"{target}.{os.urandom(4).hex()}.tmp"
     try:
-        f = open(tmp, "x", encoding="utf-8")  # mode 0o666 & ~umask, as "w" gives
+        f = open(tmp, "xb")  # mode 0o666 & ~umask, as "w" gives
     except OSError as e:
         e.filename = path
         raise
@@ -226,8 +226,8 @@ def main(argv=None) -> int:
     # registry, so a warning printed by an earlier call prints again.
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
-    # Stdout, --help included, carries the UTF-8 bytes of -o in any locale.
-    # The layer holds no text of its own and never closes out's buffer.
+    # --help and stats print UTF-8 through this layer in any locale (TSV goes
+    # to the buffer); it holds no text of its own and never closes the buffer.
     out = sys.stdout
     if getattr(out, "buffer", None) and codecs.lookup(out.encoding).name != "utf-8":
         out.flush()
@@ -239,8 +239,9 @@ def main(argv=None) -> int:
                       "hierarchy": run_hierarchy,
                       "stats": run_stats}[args.subcommand]
             return runner(args)
-    except (ParseError, ValidationError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ParseError, ValidationError, OSError, MemoryError) as e:
+        why = "out of memory; --top-t, --epsilon or --hub-cap keep fewer pairs"
+        print(f"error: {why if isinstance(e, MemoryError) else e}", file=sys.stderr)
         return 3 if isinstance(e, ParseError) else 2 if isinstance(e, OSError) else 1
     finally:
         warnings.formatwarning = formatwarning

@@ -7,6 +7,7 @@ backed by a CSR adjacency matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -33,7 +34,7 @@ class DirectedGraph:
     """Immutable sparse directed graph over a CSR adjacency matrix."""
 
     n: int
-    labels: list[str]
+    raw_labels: list[str] | bytes  # or, from the parser, UTF-8 each ended by \n
     adj: sp.csr_matrix            # n x n, positive float weights (1.0 if unweighted)
     self_loops_dropped: int = 0
 
@@ -44,13 +45,19 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return self.adj.nnz
 
+    @cached_property
+    def labels(self) -> list[str]:
+        """The node names as strings, decoded once from ``raw_labels``."""
+        raw = self.raw_labels
+        return (raw.decode("utf-8", "surrogatepass").split("\n")[:-1]
+                if isinstance(raw, bytes) else raw)
 
-def _build_graph(labels: list[str], u: np.ndarray, v: np.ndarray,
-                 w: np.ndarray | None) -> DirectedGraph:
-    """Graph over ``labels`` from parallel edge arrays in input order.
+
+def _build_graph(n: int, labels: list[str] | bytes, u: np.ndarray,
+                 v: np.ndarray, w: np.ndarray | None) -> DirectedGraph:
+    """Graph over ``n`` nodes from parallel edge arrays in input order.
     Self-loops are dropped and counted.  Duplicate edges collapse to unit
     weight when ``w`` is None, else to their weights summed in input order."""
-    n = len(labels)
     keep = u != v
     u, v = u[keep], v[keep]
     w = None if w is None else w[keep]
@@ -84,33 +91,41 @@ def _line_error(parts: list[str], line_no: int, weighted: bool) -> None:
                 f"line {line_no}: edge weight must be finite and > 0, got {parts[2]}")
 
 
-def load_edge_list(stream: IO[str], weighted: bool = False) -> DirectedGraph:
+def load_edge_list(stream: IO, weighted: bool = False) -> DirectedGraph:
     """Parse a TSV edge list: ``src<TAB>dst[<TAB>weight]``, ``#`` comments.
 
-    The text stream is read whole; lines split at ``\\n`` and lose their
-    trailing ``\\r``s.  Nodes are interned in first-appearance order, labels
-    compared byte for byte.  Duplicate directed edges collapse (weights summed
-    when ``weighted``, unit otherwise); self-loops are dropped and counted.  A
-    malformed line raises the error of the first such line, with its 1-based
-    line number.
+    The stream, of text or UTF-8 bytes, is read whole; lines split at ``\\n``
+    and lose their trailing ``\\r``s.  Nodes are interned in first-appearance
+    order, labels compared byte for byte.  Duplicate directed edges collapse
+    (weights summed when ``weighted``, unit otherwise); self-loops are dropped
+    and counted.  A malformed line raises the error of the first such line,
+    with its 1-based line number.
     """
-    raw = stream.read().encode("utf-8", "surrogatepass") + b"\n"
-    b = np.frombuffer(raw, dtype=np.uint8)
-    # Non-empty line i is b[start[i]:end[i]], its trailing run of \r cut
-    # off; blank lines, found byte by byte, get no entry.
+    raw = stream.read()
+    if isinstance(raw, str):
+        raw = raw.encode("utf-8", "surrogatepass")
+    raw += b"\n" + bytes(8)  # a closing newline, then room for _words' last load
+    b = np.frombuffer(raw, dtype=np.uint8)[:-8]
+    # Data line i is b[start[i]:end[i]], its trailing run of \r cut off.
+    # Blank lines, found byte by byte, and comment lines, dropped by their
+    # first byte, get no entry.
     nl = np.r_[True, b == 10]  # nl[p]: byte p - 1 is a newline, or p is 0
-    start = np.flatnonzero(nl[:-1] & ~nl[1:])
-    end = np.flatnonzero(nl[1:] & ~nl[:-1])
+    start, end = nl[:-1] > nl[1:], nl[1:] > nl[:-1]  # of non-blank lines
     del nl
+    if raw[:1] == b"#" or b"\n#" in raw:
+        data = b[start] != ord("#")  # one flag per non-blank line
+        start[start] = data
+        end[end] = data
+    start, end = np.flatnonzero(start), np.flatnonzero(end)
     cr = np.flatnonzero(b == 13)
     run_start = np.maximum.accumulate(np.where(np.diff(cr, prepend=-2) > 1,
                                                cr, 0))
     hit = np.flatnonzero(b[end - 1] == 13)
     end[hit] = run_start[np.searchsorted(cr, end[hit] - 1)]
-    is_data = (end > start) & (b[start] != ord("#"))
+    is_data = end > start
     start, end = start[is_data], end[is_data]
-    # Checks over all lines at once; only if one fails are the lines decoded
-    # and walked in order, to raise the first line's error.
+    # Checks over all lines at once; only if one fails are the lines walked
+    # in order, to raise the first line's error.
     tab = np.r_[np.flatnonzero(b == 9), len(b)]
     lo = np.searchsorted(tab, start)
     ok = bool((np.searchsorted(tab, end) - lo > weighted).all())
@@ -122,40 +137,57 @@ def load_edge_list(stream: IO[str], weighted: bool = False) -> DirectedGraph:
     if ok and weighted:
         try:
             w = np.fromiter(map(float, _ranges(b, tab[lo + 1] + 1, np.minimum(
-                tab[lo + 2], end))), np.float64, len(start))
+                tab[lo + 2], end)).decode("utf-8", "surrogatepass").split("\n")),
+                np.float64, len(start))
             ok = bool((np.isfinite(w) & (w > 0)).all())
         except ValueError:
             ok = False
     if not ok:
         line_nos = np.searchsorted(np.flatnonzero(b == 10), start) + 1
-        for line, line_no in zip(_ranges(b, start, end), line_nos.tolist()):
-            _line_error(line.split("\t"), line_no, weighted)
+        for s, e, line_no in zip(start.tolist(), end.tolist(), line_nos.tolist()):
+            _line_error(raw[s:e].decode("utf-8", "surrogatepass").split("\t"),
+                        line_no, weighted)
     ids, firsts = _intern(raw, b, fs, fe - fs) if len(start) else (fs, fs)
     labels = _ranges(b, fs[firsts], fe[firsts])
     del raw, b, start, end, tab, lo, fs, fe  # not held while the CSR is built
-    return _build_graph(labels, ids[0::2], ids[1::2], w)
+    return _build_graph(len(firsts), labels, ids[0::2], ids[1::2], w)
 
 
 # Tokens over this many bytes are interned by a dict: from about 48 bytes on
-# it is faster than the padded table.
+# it is faster than the word table.
 _TABLE_WIDTH = 40
+# _MASK[k] keeps the first k bytes of a little-endian 8-byte word.
+_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _words(buf: bytes, starts: np.ndarray, lens: np.ndarray,
+           width: int) -> np.ndarray:
+    """Row j holds bytes 8j to 8j + 7 of each token ``buf[s:s + n]``, cut to
+    ``width`` bytes and NUL past its end, as one little-endian word.  ``buf``
+    ends in 8 bytes that no token reaches."""
+    at = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))
+    rows = np.empty((-(-width // 8), len(starts)), dtype="<u8")
+    for j, row in enumerate(rows):
+        # Not take, which copies `at`; word j of a short token may be past it.
+        row[:] = at[np.minimum(starts + 8 * j, len(at) - 1)]
+        row &= _MASK.take(lens - 8 * j, mode="clip")
+    return rows
 
 
 def _intern(raw: bytes, b: np.ndarray, starts: np.ndarray,
             lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids in first-appearance order of the tokens ``b[starts:starts + lens]``
-    (``raw`` holds ``b``'s bytes), and each id's first token, from one sort
-    of the tokens' NUL-padded bytes."""
+    (``raw`` holds ``b``'s bytes and 8 more), and each id's first token, from
+    one sort of the tokens' words."""
     # Each token takes 2 or more input bytes: the table stays within 4x them.
     cap = 8 * min(_TABLE_WIDTH // 8, len(b) // (2 * len(lens)))
     wide = np.flatnonzero(lens > cap)
     width = -(-int(lens[lens <= cap].max(initial=1)) // 8) * 8
-    keys = _pad_table(b, starts, lens, width).view(np.uint64)
+    keys = _words(raw, starts, lens, width)
     index: dict[bytes, int] = {}
-    keys[wide] = 0
-    keys[wide, 0] = [index.setdefault(raw[s:s + n], len(index)) for s, n
+    keys[:, wide] = 0
+    keys[0, wide] = [index.setdefault(raw[s:s + n], len(index)) for s, n
                      in zip(starts[wide].tolist(), lens[wide].tolist())]
-    keys = keys.T
     if len(wide) or (b[starts + lens - 1] == 0).any():
         # Lengths tell "a" from "a\0", and a wide token from a short one.
         keys = np.vstack([keys, lens.astype(np.uint64)])
@@ -170,16 +202,16 @@ def _intern(raw: bytes, b: np.ndarray, starts: np.ndarray,
     return ids, np.sort(firsts)
 
 
-def _ranges(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> list[str]:
-    """The texts ``b[s[i]:e[i]]`` of ascending ranges, each followed by a
-    byte in no range."""
-    mark = np.zeros(len(b) + 1, dtype=np.int8)
-    mark[s] += 1
-    mark[e + 1] -= 1
-    out = b.copy()
-    out[e] = ord("\n")
-    text = out[np.cumsum(mark[:-1], dtype=np.int8).view(bool)].tobytes()
-    return text.decode("utf-8", "surrogatepass").split("\n")[:-1]
+def _ranges(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> bytes:
+    """The ranges ``b[s[i]:e[i]]``, each followed by ``\\n``, gathered
+    through one int64 index per byte."""
+    ends = np.cumsum(e - s + 1)
+    at = np.ones(ends[-1] if len(ends) else 0, dtype=np.int64)
+    at[ends[:-1]] = s[1:] - e[:-1]  # the step from range i's last byte to i+1
+    at[:1] = s[:1]
+    out = b[np.cumsum(at, out=at)]
+    out[ends - 1] = ord("\n")
+    return out.tobytes()
 
 
 def graph_from_pairs(pairs, n: int | None = None, weights=None) -> DirectedGraph:
@@ -190,7 +222,7 @@ def graph_from_pairs(pairs, n: int | None = None, weights=None) -> DirectedGraph
     if len(uv) and (uv.min() < 0 or uv.max() >= n):
         raise ValueError(f"pair index outside 0..{n - 1}")
     w = None if weights is None else np.asarray(weights, dtype=np.float64)
-    return _build_graph([str(i) for i in range(n)], uv[:, 0], uv[:, 1], w)
+    return _build_graph(n, [str(i) for i in range(n)], uv[:, 0], uv[:, 1], w)
 
 
 # Pairs per written slice; its byte records stay well under the parser's
@@ -201,10 +233,11 @@ _DIGIT_PAIRS = np.frombuffer("".join(map("{:02d}".format, range(100))).encode(),
                              dtype="<u2")
 
 
-def write_undirected(pairs: SimilarityAccumulator, labels: list[str],
-                     stream: IO[str], precision: int = 6) -> None:
-    """Emit ``labelU<TAB>labelV<TAB>weight`` lines in canonical (u, v) order,
-    where ``labels`` names the pairs' nodes; the weight is ``%.{precision}f``.
+def write_undirected(pairs: SimilarityAccumulator, labels: list[str] | bytes,
+                     stream: IO[bytes], precision: int = 6) -> None:
+    """Write ``labelU<TAB>labelV<TAB>weight`` lines in UTF-8 to a binary
+    stream in canonical (u, v) order, where ``labels`` names the nodes as
+    ``DirectedGraph.raw_labels`` does; the weight is ``%.{precision}f``.
 
     Output is byte-identical across runs and worker counts for equal inputs.
     """
@@ -214,49 +247,40 @@ def write_undirected(pairs: SimilarityAccumulator, labels: list[str],
     for s in range(0, len(w), _WRITE_CHUNK):
         u = pairs.rows(s, s + _WRITE_CHUNK)
         v, ws = pairs.v[s:s + _WRITE_CHUNK], w[s:s + _WRITE_CHUNK]
-        text = None if table is None else _format_records(table, u, v, ws,
-                                                          precision)
-        if text is None:
-            names = np.array(labels, dtype=object) if names is None else names
+        out = None if table is None else _format_records(table, u, v, ws,
+                                                         precision)
+        if out is None:
+            if names is None:
+                names = np.array(labels.decode("utf-8", "surrogatepass").split(
+                    "\n")[:-1] if isinstance(labels, bytes) else labels, dtype=object)
             items = [None] * (3 * len(ws))
             items[0::3] = names[u].tolist()
             items[1::3] = names[v].tolist()
             items[2::3] = ws.tolist()
-            text = (f"%s\t%s\t%.{precision}f\n" * len(ws)) % tuple(items)
-        stream.write(text)
+            out = ((f"%s\t%s\t%.{precision}f\n" * len(ws)) % tuple(items)).encode(
+                "utf-8", "surrogatepass")
+        stream.write(out)
 
 
-def _label_table(labels: list[str]) -> np.ndarray | None:
-    """The UTF-8 labels as a NUL-padded ``S{width}`` array; None when a label
-    contains NUL, the widest is over 64 bytes (``%`` is faster from there),
-    or the table would be far larger than the labels' own bytes."""
-    text = "\0".join(labels).encode("utf-8", "surrogatepass")
-    buf = np.frombuffer(text, dtype=np.uint8)
-    ends = np.r_[np.flatnonzero(buf == 0), len(buf)]
+def _label_table(labels: list[str] | bytes) -> np.ndarray | None:
+    """The labels, as ``write_undirected`` takes them, as a NUL-padded
+    ``S{width}`` array of their UTF-8 bytes; None when a label contains NUL
+    or a listed one a newline, the widest is over 64 bytes (``%`` is faster
+    from there), or the table would be far larger than the labels' bytes."""
+    buf = labels if isinstance(labels, bytes) else "".join(
+        s + "\n" for s in labels).encode("utf-8", "surrogatepass")
+    ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 10)
     starts = np.r_[0, ends[:-1] + 1]
     lens = ends - starts
     width = max(int(lens.max()), 1)
-    if (len(ends) != len(labels) or width > 64
-            or len(labels) * width > 4 * len(text)):
+    if (b"\0" in buf or width > 64 or len(lens) * width > 4 * len(buf)
+            or not isinstance(labels, bytes) and len(lens) != len(labels)):
         return None
-    return _pad_table(buf, starts, lens, width).view(f"S{width}").ravel()
+    rows = np.ascontiguousarray(_words(buf + bytes(8), starts, lens, width).T)
+    return rows.view(np.uint8)[:, :width].copy().view(f"S{width}").ravel()
 
 
-def _pad_table(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray,
-               width: int) -> np.ndarray:
-    """Row i is ``buf[starts[i]:starts[i] + lens[i]]``, cut or NUL-padded to
-    ``width`` bytes."""
-    # Filled column by column: no index array per byte, which would raise
-    # the run's peak memory.
-    table = np.zeros((len(starts), width), dtype=np.uint8)
-    short = int(lens.min())
-    for j in range(width):
-        has = slice(None) if j < short else np.flatnonzero(lens > j)
-        table[has, j] = buf[starts[has] + j]
-    return table
-
-
-def _format_records(table: np.ndarray, u, v, w, precision: int) -> str | None:
+def _format_records(table: np.ndarray, u, v, w, precision: int) -> bytes | None:
     """The pairs' lines, as fixed-width byte records with NULs compressed out;
     None when over 3/4 of the weights need ``%`` (then ``%`` is faster).
 
@@ -298,7 +322,7 @@ def _format_records(table: np.ndarray, u, v, w, precision: int) -> str | None:
         b[whole < 10 ** k, end - k - 1] = 0
     b[:, -1 - field:-1].view(f"S{field}")[slow, 0] = slow_text
     flat = b.ravel()
-    return flat[flat != 0].tobytes().decode("utf-8", "surrogatepass")
+    return flat[flat != 0].tobytes()
 
 
 def condensation(g: DirectedGraph) -> tuple[np.ndarray, sp.csr_matrix]:

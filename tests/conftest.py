@@ -180,9 +180,11 @@ def load_edge_list_by_lines(stream, weighted=False):
 
 
 def write_undirected_by_fstrings(pairs, labels, stream, precision=6):
-    """Reference writer: one f-string per output line."""
+    """Reference writer: one f-string per output line, encoded to UTF-8 for
+    a binary stream."""
     fmt = f"%.{precision}f"
-    stream.writelines(f"{labels[a]}\t{labels[b]}\t{fmt % c}\n"
+    stream.writelines(f"{labels[a]}\t{labels[b]}\t{fmt % c}\n".encode(
+                          "utf-8", "surrogatepass")
                       for a, b, c in zip(pairs.u.tolist(), pairs.v.tolist(),
                                          pairs.w.tolist()))
 

@@ -85,10 +85,10 @@ def test_baseline_reduction():
     baseline and weight-equal to bibliometric at alpha = beta = 0."""
     with _report("baseline reduction at l = 1 (byte-identical / 1e-12 rel)"):
         for g in _fixtures():
-            a = io.StringIO()
+            a = io.BytesIO()
             write_undirected(symmetrize(g, cfg(l=1, alpha=0.5, beta=0.5)),
                              g.labels, a)
-            b = io.StringIO()
+            b = io.BytesIO()
             write_undirected(degree_discounted(g, 0.5, 0.5), g.labels, b)
             assert a.getvalue() == b.getvalue()
 
@@ -209,7 +209,7 @@ def test_performance_smoke(tmp_path):
         g = powerlaw_digraph(50_000, 100_000, 0.45, seed=123)
         assert g.edge_count == 100_000
         result = symmetrize(g, cfg(l=2))
-        with open(tmp_path / "out.tsv", "w") as fh:
+        with open(tmp_path / "out.tsv", "wb") as fh:
             write_undirected(result, g.labels, fh)
         elapsed = time.perf_counter() - t0
         peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 ** 2

@@ -1,5 +1,6 @@
 import io
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -12,8 +13,9 @@ from reachsym import (SymmetrizationConfig, auto_hierarchy, load_edge_list,
                       symmetrize, write_undirected)
 from reachsym import cli
 from reachsym.cli import main
+from reachsym.synthetic import powerlaw_digraph, write_edge_list
 
-from conftest import oracle_symmetrize
+from conftest import oracle_symmetrize, write_undirected_by_fstrings
 
 
 def write(path, text):
@@ -135,11 +137,11 @@ class TestSymmetrizeCommand:
         assert main(["symmetrize", *given, *explicit, "-i", inp, "-o", str(b)]) == 0
         with open(inp, encoding="utf-8") as f:
             g = load_edge_list(f)
-        lib = io.StringIO()
+        lib = io.BytesIO()
         write_undirected(symmetrize(g, SymmetrizationConfig(),
                                     auto_hierarchy(g) if given else None),
                          g.labels, lib)
-        assert a.read_bytes() == b.read_bytes() == lib.getvalue().encode()
+        assert a.read_bytes() == b.read_bytes() == lib.getvalue()
         assert len(lib.getvalue().splitlines()) > 100
 
     def test_threads_do_not_change_bytes(self, tmp_path):
@@ -181,7 +183,7 @@ class TestSymmetrizeCommand:
         assert main(["symmetrize", "-i", inp, "-o", str(a)]) == 0
         with open(inp, encoding="utf-8") as f:
             g = load_edge_list(f)
-        with open(b, "w", encoding="utf-8") as f:
+        with open(b, "wb") as f:
             write_undirected(oracle_symmetrize(g, SymmetrizationConfig()),
                              g.labels, f)
         assert a.read_text() == b.read_text()
@@ -276,6 +278,33 @@ class TestRejectedInputs:
         inp.write_bytes(b"a\tb\nb\tc\xff\n")
         assert main(["symmetrize", "-i", str(inp)]) == 3
         assert "line 2" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("data, line", [
+        (b"a\tb\r\nb\tc\r\n\xff\td\r\n", 3),
+        (b"a\tb\n\xe8\x8a\nc\td\n", 2),  # a sequence cut by the newline
+        (b"a\tb\nb\t\xed\xa0\x80\n", 2),  # an encoded surrogate
+        (b"#\xff\na\tb\n", 1),  # in a comment
+        (b"a\tb\rc\td\r\xff\n", 1),  # lines count at \n, as they always did
+    ], ids=["crlf", "cut", "surrogate", "comment", "lone-cr"])
+    def test_invalid_utf8_keeps_its_line_number(self, tmp_path, capsys, data,
+                                                line):
+        inp = tmp_path / "g.tsv"
+        inp.write_bytes(data)
+        assert main(["symmetrize", "-i", str(inp)]) == 3
+        assert assert_one_error_line(capsys) == \
+            f"error: line {line}: invalid UTF-8 in {inp}"
+
+    def test_missing_scores_file_fails_before_the_input_is_read(
+            self, tmp_path, capsys, monkeypatch):
+        def parse(*args, **kwargs):
+            raise AssertionError("the input was parsed")
+
+        monkeypatch.setattr(cli, "load_edge_list", parse)
+        inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+        scores = tmp_path / "scores.tsv"
+        assert main(["symmetrize", "--hierarchy", f"file:{scores}",
+                     "-i", inp]) == 2
+        assert assert_one_error_line(capsys).endswith(f"'{scores}'")
 
     def test_invalid_utf8_hierarchy_file_is_parse_error(self, tmp_path, capsys):
         inp = write(tmp_path / "g.tsv", TWO_SOURCES)
@@ -524,6 +553,63 @@ def test_help_is_utf8_whatever_the_locale(sub, launcher):
         assert "≥".encode("utf-8") in proc.stdout
 
 
+@pytest.mark.parametrize("text", [
+    "a\tc\r\nb\tc\r\n", "a\tc\rb\tc\r", "\ufeffa\tc\nb\tc\n",
+    "a\0\tc\na\tc\nb\0\tc\n", "节点\tc\né\tc\n",
+    "".join(f"{'w' * 63}{i}\tc\n" for i in range(3)),
+    "".join(f"{'w' * 64}{i}\tc\n" for i in range(3))],
+    ids=["crlf", "lone-cr", "bom", "nul", "non-ascii", "64B", "65B"])
+def test_labels_keep_their_bytes_on_stdout_and_in_a_file(tmp_path, capsysbinary,
+                                                         text):
+    """The input's labels come out as they went in, on stdout and with -o:
+    the bytes of the file read in text mode and written line by line."""
+    inp = tmp_path / "g.tsv"
+    inp.write_bytes(text.encode())
+    dst = tmp_path / "out.tsv"
+    assert main(["symmetrize", "-i", str(inp), "-o", str(dst)]) == 0
+    assert main(["symmetrize", "-i", str(inp)]) == 0
+    out = capsysbinary.readouterr().out
+    with open(inp, encoding="utf-8") as f:
+        g = load_edge_list(f)
+    want = io.BytesIO()
+    write_undirected_by_fstrings(symmetrize(g, SymmetrizationConfig()),
+                                 g.labels, want)
+    assert dst.read_bytes() == out == want.getvalue() != b""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the import's VmPeak from /proc")
+def test_memory_exhausted_is_one_error_line(tmp_path):
+    """A run that exhausts its address space is exit 1 and one error line
+    naming the flags that keep fewer pairs, without a traceback.  The limit
+    is set on the child alone: its import's footprint and 64 MB, where the
+    run needs over 100 MB more (3.6 M pairs)."""
+    inp = tmp_path / "g.tsv"
+    with open(inp, "w", encoding="utf-8") as f:
+        write_edge_list(powerlaw_digraph(3000, 9000, 0.45, seed=1), f)
+    # One BLAS thread: a pool that cannot map its buffers under the limit
+    # would spin instead of failing.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   os.path.dirname(os.path.dirname(cli.__file__)),
+                   os.environ.get("PYTHONPATH")])))
+    peak = subprocess.run(
+        [sys.executable, "-c", "import reachsym.cli; print(open("
+         "'/proc/self/status').read().split('VmPeak:')[1].split()[0])"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    limit = int(peak.stdout) * 1024 + (64 << 20)
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "reachsym", "symmetrize",
+                           "--l", "3", "-i", str(inp), "-o", os.devnull],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=limited)
+    assert (proc.returncode, proc.stderr.splitlines()) == (1, [
+        "error: out of memory; --top-t, --epsilon or --hub-cap keep fewer pairs"])
+
+
 class _FailsOnce(io.RawIOBase):
     """A pipe whose reader has gone, for the first write only."""
 
@@ -627,7 +713,7 @@ class TestOutputFile:
     def test_failed_write_keeps_previous_file(self, tmp_path, capsys,
                                               monkeypatch):
         def failing_writer(result, labels, f, precision):
-            f.write("u\tv\t0.7")
+            f.write(b"u\tv\t0.7")
             raise OSError("disk full")
 
         monkeypatch.setattr(cli, "write_undirected", failing_writer)

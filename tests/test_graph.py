@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import tempfile
@@ -80,9 +81,30 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="^line 2000003: expected"):
             load(text + "c\n")
 
+    def test_comment_lines_take_no_per_line_memory(self, tmp_path):
+        # Comment lines are dropped by their first byte before the per-line
+        # arrays are built: the same 4.0 bytes per input byte as blank lines
+        # (13.5 when each took an int64 start and end).
+        text = "a\tb\n" + "#\n" * 2_000_000 + "b\tc\n"
+        for stream in (io.StringIO(text), io.BytesIO(text.encode())):
+            g, peak = traced_peak(load_edge_list, stream)
+            assert g.labels == ["a", "b", "c"] and g.edge_count == 2
+            assert peak < 5 * len(text)
+        # The CLI's reader, file read included, hands its bytes to the
+        # parser: no second copy of the input is held while it runs.
+        path = tmp_path / "g.tsv"
+        path.write_text(text)
+        args = argparse.Namespace(input=str(path), weighted=False)
+        g, peak = traced_peak(cli._load_graph, args)
+        assert g.edge_count == 2 and peak < 4.5 * len(text)
+        with pytest.raises(ParseError, match="^line 2000003: expected"):
+            load(text + "c\n")
+
     def test_interning_is_first_appearance_order(self):
         g = load("z\ty\na\tz")
         assert g.labels == ["z", "y", "a"]
+        # The parser keeps the labels as UTF-8 bytes; `labels` decodes them.
+        assert load("z\t节\na\tz").raw_labels == "z\n节\na\n".encode()
 
     @given(digraphs())
     def test_in_out_mirror(self, g):
@@ -138,24 +160,33 @@ class TestLoadMatchesLineByLine:
                                       bom):
         # A BOM is part of the first label: the input is utf-8, not utf-8-sig.
         text = "\ufeff" * bom + eol.join(lines) + (eol if last_eol else "")
-        assert parsed(load_edge_list, text, weighted) == \
-            parsed(load_edge_list_by_lines, text, weighted)
+        want = parsed(load_edge_list_by_lines, text, weighted)
+        assert parsed(load_edge_list, text, weighted) == want
+        # The same text as UTF-8 bytes gives the same graph or error.
+        assert outcome(lambda: load_edge_list(io.BytesIO(text.encode(
+            "utf-8", "surrogatepass")), weighted=weighted)) == want
 
     @given(st.lists(_LINE, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]),
            st.booleans(), st.booleans())
+    # Lone \r line ends: two edges and four nodes, as in text mode.
+    @example(["a\tb", "c\td"], "\r", True, False)
     @settings(max_examples=100, deadline=None)
     def test_file_through_the_cli_reader(self, lines, eol, last_eol, weighted):
-        """A file opened as the CLI opens it, with universal newlines: a lone
-        ``\\r`` ends a line there."""
+        """A file read by the CLI's own reader gives the graph of the file
+        read in text mode, with universal newlines: a lone ``\\r`` ends a
+        line there."""
         text = eol.join(lines) + (eol if last_eol else "")
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "g.tsv")
             with open(path, "wb") as f:
                 f.write(text.encode("utf-8", "surrogatepass"))
-            assert outcome(lambda: cli._parse_file(
-                path, load_edge_list, weighted=weighted)) == \
-                outcome(lambda: cli._parse_file(
-                    path, load_edge_list_by_lines, weighted=weighted))
+            args = argparse.Namespace(input=path, weighted=weighted)
+            got = outcome(lambda: cli._load_graph(args))
+            with open(path, encoding="utf-8") as f:
+                assert got == outcome(lambda: load_edge_list_by_lines(
+                    f, weighted=weighted))
+        if lines == ["a\tb", "c\td"]:
+            assert got[0] == ["a", "b", "c", "d"]
 
     @pytest.mark.parametrize("pad, long", [
         (1, ["x" * 10_000]),
@@ -167,8 +198,7 @@ class TestLoadMatchesLineByLine:
         short = [str(i % 300).rjust(pad, "s") for i in range(5000)]
         labels = short[:2000] + long + short[2000:]
         text = "".join(f"{a}\t{b}\n" for a, b in zip(labels, labels[::-1]))
-        with mock.patch.object(graph, "_pad_table",
-                               wraps=graph._pad_table) as spy:
+        with mock.patch.object(graph, "_words", wraps=graph._words) as spy:
             got = parsed(load_edge_list, text, False)
         (_, starts, _, width), _ = spy.call_args
         assert width <= graph._TABLE_WIDTH
@@ -231,29 +261,29 @@ class TestWriteUndirected:
         return pair_set(len(labels), u, v, w), labels
 
     def test_empty_graph_empty_output(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_undirected(*self.make([], []), buf)
-        assert buf.getvalue() == ""
+        assert buf.getvalue() == b""
 
     def test_fixed_precision_formatting(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_undirected(*self.make([(0, 1, 0.5)], ["a", "b"]), buf)
-        assert buf.getvalue() == "a\tb\t0.500000\n"
+        assert buf.getvalue() == b"a\tb\t0.500000\n"
 
     def test_precision_flag(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_undirected(*self.make([(0, 1, 0.5)], ["a", "b"]), buf, precision=2)
-        assert buf.getvalue() == "a\tb\t0.50\n"
+        assert buf.getvalue() == b"a\tb\t0.50\n"
 
     def test_round_trip(self):
         pairs, labels = self.make([(0, 1, 0.25), (1, 2, 1.5)], ["a", "b", "c"])
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_undirected(pairs, labels, buf)
-        back = read_undirected(io.StringIO(buf.getvalue()))
+        back = read_undirected(io.StringIO(buf.getvalue().decode()))
         assert back == [("a", "b", 0.25), ("b", "c", 1.5)]
 
     def text(self, writer, pairs, labels, precision=6):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         writer(pairs, labels, buf, precision=precision)
         return buf.getvalue()
 
@@ -286,7 +316,7 @@ class TestWriteUndirected:
                 self.text(write_undirected_by_fstrings, pairs, labels, precision)
 
     @pytest.mark.parametrize("extra", [
-        ["x\0y"], ["z" * 10_000], [f"{'w' * 63}{i}" for i in range(9)],
+        ["x\0y", "x\ny"], ["z" * 10_000], [f"{'w' * 63}{i}" for i in range(9)],
         [f"{'w' * 64}{i}" for i in range(9)]], ids=["nul", "10kB", "64B", "65B"])
     @pytest.mark.parametrize("precision", [0, 6, 17])
     def test_label_edge_cases(self, extra, precision):
@@ -296,22 +326,30 @@ class TestWriteUndirected:
         order = np.argsort(np.arange(m) % n, kind="stable")
         pairs = pair_set(n, (np.arange(m) % n)[order],
                          (np.arange(m) * 7 % n)[order], w[order])
-        assert self.text(write_undirected, pairs, labels, precision) == \
-            self.text(write_undirected_by_fstrings, pairs, labels, precision)
+        want = self.text(write_undirected_by_fstrings, pairs, labels, precision)
+        assert self.text(write_undirected, pairs, labels, precision) == want
+        if not any("\n" in s for s in labels):
+            # The labels as the parser keeps them: UTF-8, each ended by \n.
+            blob = "".join(s + "\n" for s in labels).encode()
+            assert self.text(write_undirected, pairs, blob, precision) == want
 
     def test_which_labels_get_a_table(self):
         # NUL would be compressed out of a record; past 64 bytes `%` is the
         # faster writer; one long label would widen the whole table.
         many = [str(i) for i in range(100)]
         assert graph._label_table(many + ["x\0y"]) is None
+        assert graph._label_table(many + ["x\ny"]) is None
         assert graph._label_table(many + ["z" * 10_000]) is None
         assert graph._label_table(many + ["z" * 60]) is None
         wide = [f"{'w' * 63}{i}" for i in range(9)]
         assert graph._label_table(wide).dtype.itemsize == 64
         assert graph._label_table([s + "w" for s in wide]) is None
-        for labels in (_LABELS, ["abc", "de", "f"]):
-            assert graph._label_table(labels).tolist() == \
-                [s.encode() for s in labels]
+        for labels in (_LABELS, ["abc", "de", "f"], ["", "12345678", "é" * 4]):
+            want = [s.encode() for s in labels]
+            assert graph._label_table(labels).tolist() == want
+            # The same labels as the parser keeps them.
+            blob = "".join(s + "\n" for s in labels).encode()
+            assert graph._label_table(blob).tolist() == want
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
                               st.floats(0.001, 100)), max_size=20))
@@ -325,9 +363,9 @@ class TestWriteUndirected:
         keys = sorted(pairs)
         g = self.make([(a, b, pairs[(a, b)]) for a, b in keys],
                       [f"n{i}" for i in range(9)])
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_undirected(*g, buf)
-        back = read_undirected(io.StringIO(buf.getvalue()))
+        back = read_undirected(io.StringIO(buf.getvalue().decode()))
         assert len(back) == len(keys)
         for (a, b, w), (ka, kb) in zip(back, keys):
             assert (a, b) == (f"n{ka}", f"n{kb}")
