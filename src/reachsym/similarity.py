@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .accumulator import SimilarityAccumulator, index_dtype
 from .closure import LocalClosure, _check_depth, local_closure, weighted_closure
@@ -100,10 +101,10 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
 
     P is symmetric, so row block [r0, r1) (from _row_blocks) is computed
     only against rows r0:, as right[r0:] @ left[r0:r1]^T over a view of R's
-    arrays; its CSC form holds the block's rows with sorted columns, and the
-    strict upper triangle is kept.  Entry (i, j) sums right[j, k] * left[i, k]
-    over ascending k: the terms of a full left @ right^T in the same order,
-    and IEEE products commute, so the weights are bit-identical to it.
+    arrays; only its first r1 - r0 rows, the block's own square, hold entries
+    with j <= i.  Entry (i, j) sums right[j, k] * left[i, k] over ascending
+    k: the terms of a full left @ right^T in the same order, and IEEE
+    products commute, so the weights are bit-identical to it.
     """
     n = R.shape[0]
     base = R.data * np.repeat(outer, np.diff(R.indptr))
@@ -118,12 +119,20 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
         p0 = R.indptr[r0]
         right = sp.csr_matrix((base[p0:], R.indices[p0:], R.indptr[r0:] - p0),
                               shape=(n - r0, n))
-        block = (right @ left[r0:r1].T).tocsc()
-        row = np.repeat(np.arange(r1 - r0, dtype=index_dtype(n)), np.diff(block.indptr))
-        keep = (block.indices > row) & (block.data != 0.0)
-        counts.append(np.bincount(row[keep], minlength=r1 - r0))
-        vs.append(np.add(block.indices[keep], r0, dtype=row.dtype))
-        ws.append(block.data[keep])
+        block = right @ left[r0:r1].T
+        # The square's kept entries move up against the rows below, in place.
+        q, ptr, d, c = r1 - r0, block.indptr, block.data, block.indices
+        h = ptr[q]
+        keep = np.flatnonzero(c[:h] < np.repeat(np.arange(q, dtype=c.dtype),
+                                                np.diff(ptr[:q + 1])))
+        o = h - len(keep)
+        d[o:h], c[o:h] = d[keep], c[keep]
+        ptr[:q + 1], ptr[q + 1:] = np.searchsorted(keep, ptr[:q + 1]), ptr[q + 1:] - o
+        block.data, block.indices = d[o:], c[o:]
+        block = block.tocsc()  # scipy's product stores no exact 0
+        counts.append(np.diff(block.indptr))
+        vs.append(np.add(block.indices, r0, dtype=index_dtype(n)))
+        ws.append(block.data)
     if not vs:
         return SimilarityAccumulator.empty(n)
     # Blocks are row-major and each CSC column has sorted rows, so the joins
@@ -216,7 +225,8 @@ def symmetrize(g: DirectedGraph, cfg: SymmetrizationConfig,
         k = np.isfinite(acc.w).argmin()  # the first non-finite pair
         a, b = g.labels[acc.rows(k, k + 1)[0]], g.labels[acc.v[k]]
         raise ValidationError(f"weight of pair ({a!r}, {b!r}) is not finite")
-    acc = acc.select(acc.w > cfg.epsilon)
+    # At 0 it is skipped: every weight is stored, so nonzero, and finite.
+    acc = acc.select(acc.w > cfg.epsilon) if cfg.epsilon > 0 else acc
     if cfg.top_t is not None:
         acc = sparsify_top_t(acc, cfg.top_t)
     return acc
@@ -259,11 +269,12 @@ def sparsify_top_t(pairs: SimilarityAccumulator, t: int) -> SimilarityAccumulato
 
     for rows, width in _degree_blocks(heavy, deg, cells):
         # Each row's weights by ascending partner: those below it, then those
-        # above it.
-        block = np.full((len(rows), width), -np.inf)
+        # above it, from w at uptr - nlo (>= 0: r's lower pairs precede it).
         nlo = cptr[rows + 1] - cptr[rows]
-        _place(block, below, cptr[rows], nlo, 0)
-        _place(block, w, uptr[rows], uptr[rows + 1] - uptr[rows], nlo)
+        block = _windows(w, uptr[rows] - nlo, deg[rows], width)
+        k = int(nlo.max())
+        np.copyto(block[:, :k], _windows(below, cptr[rows], nlo, k),
+                  where=np.arange(k) < nlo[:, None])
         k = width - t
         top = np.partition(block, k, axis=1)
         tau[rows] = top[:, k]
@@ -314,8 +325,7 @@ def _top_t_cut(pairs: SimilarityAccumulator, t: int,
 
     tau_up = np.full(pairs.n, -np.inf)
     for rows, width in _degree_blocks(wide, updeg, cells):
-        block = np.full((len(rows), width), -np.inf)
-        _place(block, w, uptr[rows], updeg[rows], 0)
+        block = _windows(w, uptr[rows], updeg[rows], width)
         block.partition(width - t, axis=1)
         tau_up[rows] = block[:, -t]
         del block  # before the next one is filled
@@ -346,13 +356,15 @@ def _degree_blocks(rows: np.ndarray, deg: np.ndarray, cells: int):
             yield part, int(deg[part[-1]])
 
 
-def _place(block: np.ndarray, src: np.ndarray, starts: np.ndarray,
-           lens: np.ndarray, col) -> None:
-    """Copy src[starts[i]:starts[i] + lens[i]] into row i of ``block`` from
-    column col (or col[i]) on."""
-    skip = np.cumsum(lens) - lens  # values placed before row i
-    j = np.arange(skip[-1] + lens[-1])
-    at = np.repeat(np.arange(0, block.size, block.shape[1]) + col - skip, lens)
-    at += j
-    j += np.repeat(starts - skip, lens)
-    block.reshape(-1)[at] = src[j]
+def _windows(src: np.ndarray, starts: np.ndarray, lens: np.ndarray, width: int):
+    """A fresh block whose row i is src[starts[i]:starts[i] + lens[i]], then
+    -inf: a gather of strided windows over src, which is not copied."""
+    end = len(src) - width  # the last start of a whole window
+    block = sliding_window_view(src, width)[np.minimum(starts, end)]
+    over = np.flatnonzero(starts > end)
+    if len(over):  # from a copy of src's last width - 1 values
+        tail = np.r_[src[end + 1:], np.empty(width)]
+        block[over] = sliding_window_view(tail, width)[starts[over] - end - 1]
+    lo = int(lens.min(initial=width))
+    block[:, lo:][np.arange(lo, width) >= lens[:, None]] = -np.inf
+    return block

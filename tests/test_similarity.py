@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -428,17 +429,86 @@ class TestSparsifyTopT:
         # A block holds at most _TOP_T_CHUNK cells, or one row wider than that.
         g = random_pairs(400, 6000, 15)
         shapes = []
-        place = similarity._place
+        windows = similarity._windows
 
-        def spy(block, *args):
+        def spy(*args):
+            block = windows(*args)
             shapes.append(block.shape)
-            place(block, *args)
+            return block
 
         with mock.patch.object(similarity, "_TOP_T_CHUNK", 64), \
-                mock.patch.object(similarity, "_place", spy):
+                mock.patch.object(similarity, "_windows", spy):
             self.assert_matches_reference(g, 3)
         assert len(set(shapes)) > 3
         assert all(k * width <= 64 or k == 1 for k, width in shapes)
+
+    @staticmethod
+    def tail_pairs(t, seed):
+        """Pairs of 100 nodes whose blocks hold windows that run past the end
+        of the pair arrays, where a wrong value would change the result.
+
+        Node 99 has the most partners, all below it.  Node 98, in its degree
+        class, pairs with nodes 3-17, 40-58 and 88 below it at weights in
+        [0.1, 1), and with 99 above it at 0.05: its window's last value is
+        its lowest, where any of the last pairs' weights, all over 1.1, would
+        enter its top t.  Node 88's 11 partners above it, in the class of
+        node 2's 15, hold the last pairs but (98, 99).  Node 1 pairs with 0
+        only below it, so its window in w starts at 0.  Nodes 18-38 pair in
+        groups of one node and t others, which have degree t."""
+        rng = np.random.default_rng(seed)
+        n, zone = 100, np.arange(40, 89)
+        pairs = {(0, 1), (1, 41), (1, 57)} | {(2, v) for v in range(3, 18)}
+        pairs |= {(a, b) for a in range(18, 39 - t, t + 1)
+                  for b in range(a + 1, a + t + 1)}
+        pairs |= {(88, v) for v in range(89, 100)} | {(98, 99)}
+        pairs |= {(int(u), 99) for u in zone[:-1]}
+        pairs |= {(u, 98) for u in [*range(3, 18), *range(40, 59)]}
+        for a, b in rng.integers(40, 88, size=(300, 2)).tolist():
+            if a != b:
+                pairs.add((min(a, b), max(a, b)))
+        u, v = (np.array(x) for x in zip(*sorted(pairs)))
+        w = 1.1 + rng.integers(0, 8, len(u)) / 8  # ties
+        if seed % 2:
+            w = 1.1 + rng.permutation(len(u)) / len(u)
+        w[v == 98] = rng.uniform(0.1, 1, np.count_nonzero(v == 98))
+        w[(u == 98) & (v == 99)] = 0.05
+        return pair_set(n, u, v.astype(np.int32), w)
+
+    @pytest.mark.parametrize("t", [1, 3, 10])
+    def test_window_tails(self, t):
+        windows, over = similarity._windows, set()
+
+        def spy(src, starts, lens, width):
+            if (starts > len(src) - width).any():
+                over.add(sys._getframe(1).f_code.co_name)
+            return windows(src, starts, lens, width)
+
+        for seed in range(4):
+            g = self.tail_pairs(t, seed)
+            deg = np.bincount(np.r_[g.u, g.v], minlength=g.n)
+            cls = np.frexp(deg - 1)[1]
+            assert deg.argmax() == g.n - 1 and cls[-1] == cls.max() == cls[-2]
+            assert (deg == t).sum() >= 2 and g.indptr[1] - 1 == 0
+            for chunk in (7, similarity._TOP_T_CHUNK):
+                with mock.patch.object(similarity, "_TOP_T_CHUNK", chunk), \
+                        mock.patch.object(similarity, "_windows", spy):
+                    self.assert_matches_reference(g, t)
+        assert over == {"_top_t_cut", "sparsify_top_t"}
+
+    @given(st.data(), st.integers(1, 40), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_windows_equal_slices(self, data, m, width):
+        # Starts up to the last value, so many windows run past the end.
+        width = min(width, m)
+        src = np.arange(1.0, m + 1)
+        starts = data.draw(st.lists(st.integers(0, m - 1), max_size=6))
+        starts = np.array(starts, dtype=np.int64)
+        lens = np.minimum(width, m - starts)
+        block = similarity._windows(src, starts, lens, width)
+        assert block.shape == (len(starts), width)
+        for row, s, k in zip(block, starts, lens):
+            assert row[:k].tolist() == src[s:s + k].tolist()
+            assert (row[k:] == -np.inf).all()
 
     def test_t_above_every_degree_returns_the_pairs(self):
         g = random_pairs(50, 300, 13)
@@ -493,6 +563,59 @@ class TestSparsifyTopT:
         out, peak = traced_peak(sparsify_top_t, g, t)
         assert 0 < len(out) < len(g)
         assert peak < 15 * len(g)
+
+
+class TestStoredZerosAbsent:
+    """scipy's product stores no exact 0, so neither does _co_reach, and
+    symmetrize's epsilon = 0 step can keep every pair it is given."""
+
+    CAP = 3
+
+    def graph(self):
+        # 0 and 1 share only successor 7 (in-degree 5) and predecessor 8
+        # (out-degree 5), both over the cap: both direction sums are 0.
+        # 2 and 3 share successor 9 and 5, 6 predecessor 10, under the cap.
+        edges = [(x, 7) for x in range(5)] + [(8, x) for x in (0, 1, 4, 5, 6)]
+        edges += [(2, 9), (3, 9), (10, 5), (10, 6)]
+        return graph_from_pairs(edges, n=11)
+
+    def dense(self, g, alpha=0.5, beta=0.5):
+        """The pair weights of symmetrize at l = 1 with the hub cap, from
+        dense matrices: a capped node's term is 0, its degree still counts."""
+        a = (g.adj.toarray() != 0).astype(np.float64)
+        d_out, d_in = a.sum(axis=1), a.sum(axis=0)
+        out_in = _degree_discount(d_in, beta) * (d_in <= self.CAP)
+        in_out = _degree_discount(d_out, alpha) * (d_out <= self.CAP)
+        oa, ib = _degree_discount(d_out, alpha), _degree_discount(d_in, beta)
+        total = (oa[:, None] * oa[None, :]) * ((a * out_in) @ a.T) \
+            + (ib[:, None] * ib[None, :]) * ((a.T * in_out) @ a)
+        return np.triu(total, 1)
+
+    def test_pair_with_only_capped_neighbours_is_absent(self):
+        g = self.graph()
+        c = local_closure(g, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            acc = symmetrize(g, cfg(l=1, hub_cap=self.CAP))
+            parts = [f(c, cfg(l=1, hub_cap=self.CAP))
+                     for f in (out_reach_similarity, in_reach_similarity)]
+        for part in parts:
+            assert part.get(0, 1, None) is None and (part.w != 0).all()
+        assert acc.get(0, 1, None) is None and (acc.w > 0).all()
+        want = self.dense(g)
+        assert want[0, 1] == 0 and 0 < len(acc) == np.count_nonzero(want)
+        np.testing.assert_allclose(to_dense(acc)[want != 0], want[want != 0],
+                                   rtol=1e-12)
+        assert to_dense(acc)[np.triu(want == 0, 1)].max(initial=0) == 0
+
+    def test_all_zero_inner_gives_no_pair(self):
+        g = powerlaw_digraph(400, 1200, 0.6, seed=2)
+        c = local_closure(g, 2)
+        outer = _degree_discount(c.d_out_plus, 0.5)
+        for disc in (None, neighbor_discount_data(c.out_mat.indptr, c.out_mat.indices,
+                                                  auto_hierarchy(g), 1.0)):
+            acc = _co_reach(c.out_mat, outer, np.zeros(g.n), disc)
+            assert len(acc) == 0 and acc.indptr.tolist() == [0] * (g.n + 1)
 
 
 class TestNothingDropped:
@@ -671,6 +794,59 @@ class TestCoReachUpperTriangle:
         acc, peak = traced_peak(_co_reach, c.out_mat, outer, inner)
         assert len(acc) > 300_000 and len(_row_blocks(c.out_mat)) > 3
         assert peak < 1.9 * (acc.indptr.nbytes + acc.v.nbytes + acc.w.nbytes)
+
+
+def two_row_blocks(R):
+    return np.r_[np.arange(0, R.shape[0], 2), R.shape[0]]
+
+
+def heavy_row_alone(R):
+    """Blocks of one row each around R's heaviest row h: h - 1, h, h + 1."""
+    h = int(np.diff(R.indptr).argmax())
+    return np.unique([0, h - 1, h, h + 1, h + 2, R.shape[0]])
+
+
+class TestCoReachBlockLayouts:
+    @staticmethod
+    def graph():
+        """A power-law graph relabelled so that the heaviest out-reach and
+        in-reach rows each sit between two nodes without edges."""
+        g = powerlaw_digraph(1500, 4000, 0.6, seed=7)
+        c = local_closure(g, 2)
+        hubs = list(dict.fromkeys([int(c.d_out_plus.argmax()),
+                                   int(c.d_in_plus.argmax())]))
+        deg = np.diff(g.adj.indptr) + np.bincount(g.adj.indices, minlength=g.n)
+        lone = np.flatnonzero(deg == 0)[:2 * len(hubs)].tolist()
+        rest = [x for x in range(g.n) if x not in hubs and x not in lone]
+        order = rest[:500] + [lone[0], hubs[0], lone[1]] + rest[500:1000]
+        if len(hubs) > 1:
+            order += [lone[2], hubs[1], lone[3]]
+        order += rest[1000:]
+        new = np.empty(g.n, dtype=np.int64)
+        new[order] = np.arange(g.n)
+        a = g.adj.tocoo()
+        return graph_from_pairs(zip(new[a.row].tolist(), new[a.col].tolist()), g.n)
+
+    def test_block_bounds_change_no_bit(self):
+        g = self.graph()
+        c = local_closure(g, 2)
+        h = auto_hierarchy(g)
+        for R, d_outer, d_inner in ((c.out_mat, c.d_out_plus, c.d_in_plus),
+                                    (c.in_mat, c.d_in_plus, c.d_out_plus)):
+            outer = _degree_discount(d_outer, 0.5)
+            inner = _degree_discount(d_inner, 0.5)
+            disc = neighbor_discount_data(R.indptr, R.indices, h, 1.0)
+            hub = int(np.diff(R.indptr).argmax())
+            assert np.diff(R.indptr)[[hub - 1, hub + 1]].tolist() == [0, 0]
+            assert len(_row_blocks(R)) > 3
+            want = _co_reach(R, outer, inner, disc)
+            assert len(want) > 10_000
+            for blocks in (one_row_blocks, two_row_blocks, heavy_row_alone):
+                with mock.patch.object(similarity, "_row_blocks", blocks):
+                    got = _co_reach(R, outer, inner, disc)
+                for a, b in ((got.indptr, want.indptr), (got.v, want.v),
+                             (got.w, want.w)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestRowBlocks:
