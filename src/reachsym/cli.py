@@ -1,13 +1,12 @@
 """Command-line driver: symmetrize / hierarchy / stats subcommands.
 
-Results go to standard output (or ``-o``); summary statistics go to standard
-error so stdout stays pipe-clean TSV.  Exit codes: 0 success, 1 validation
-error or memory exhausted, 2 I/O error, 3 parse error.
+Results go to standard output as UTF-8 bytes (or to ``-o``); summary
+statistics go to standard error so stdout stays pipe-clean TSV.  Exit codes:
+0 success, 1 validation error or memory exhausted, 2 I/O error, 3 parse error.
 """
 from __future__ import annotations
 
 import argparse
-import codecs
 import io
 import math
 import os
@@ -31,6 +30,9 @@ class _Parser(argparse.ArgumentParser):
     # Map argparse usage errors onto the validation exit code.
     def error(self, message):
         raise ValidationError(message)
+
+    def print_help(self):  # UTF-8 bytes, like every output, in any locale
+        _emit(None, lambda f: f.write(self.format_help().encode()))
 
 
 def _parse_depth(text: str):
@@ -143,8 +145,8 @@ def run_symmetrize(args) -> int:
         h = (None if args.hierarchy == "none" else auto_hierarchy(g) if path is None
              else load_hierarchy(io.StringIO(_read(scores).decode()), g))
     result = symmetrize(g, cfg, h)
-    _emit(args, lambda f: write_undirected(result, g.raw_labels, f,
-                                           precision=args.precision))
+    _emit(args.output, lambda f: write_undirected(result, g.raw_labels, f,
+                                                  precision=args.precision))
     print(f"nodes={g.n} edges={g.edge_count} "
           f"undirected_edges={len(result)} "
           f"self_loops_dropped={g.self_loops_dropped} "
@@ -156,37 +158,32 @@ def run_hierarchy(args) -> int:
     g = _load_graph(args)
     scores = auto_hierarchy(g)
     fmt = f"%.{args.precision}f"
-    _emit(args, lambda f: f.writelines(f"{lab}\t{fmt % s}\n".encode() for lab, s
-                                       in zip(g.labels, scores.score.tolist())))
+    _emit(args.output, lambda f: f.writelines(
+        f"{lab}\t{fmt % s}\n".encode() for lab, s in zip(g.labels, scores.score.tolist())))
     return 0
 
 
 def run_stats(args) -> int:
     l = _parse_depth(args.l) if args.l is not None else None
     g = _load_graph(args)
-    out = sys.stdout
-    out.write(f"nodes\t{g.n}\n")
-    out.write(f"edges\t{g.edge_count}\n")
-    out.write(f"self_loops_dropped\t{g.self_loops_dropped}\n")
-
-    def hist(name, degrees):
-        for d, c in sorted(Counter(degrees.tolist()).items()):
-            out.write(f"{name}\t{d}\t{c}\n")
-
-    hist("out_degree", np.diff(g.adj.indptr))
-    hist("in_degree", np.bincount(g.adj.indices, minlength=g.n))
+    degrees = {"out_degree": np.diff(g.adj.indptr),
+               "in_degree": np.bincount(g.adj.indices, minlength=g.n)}
     if l is not None:
         c = local_closure(g, l)
-        hist("closure_out_degree", c.d_out_plus)
-        hist("closure_in_degree", c.d_in_plus)
+        degrees.update(closure_out_degree=c.d_out_plus, closure_in_degree=c.d_in_plus)
+    lines = [f"nodes\t{g.n}\n", f"edges\t{g.edge_count}\n",
+             f"self_loops_dropped\t{g.self_loops_dropped}\n"]
+    lines += [f"{name}\t{d}\t{count}\n" for name, deg in degrees.items()
+              for d, count in sorted(Counter(deg.tolist()).items())]
+    _emit(None, lambda f: f.write("".join(lines).encode()))
     return 0
 
 
-def _emit(args, write_fn) -> None:
-    """``write_fn(stream)`` to stdout or to ``-o``.  A regular ``-o`` file is
-    replaced only once the write succeeds, so a failed run leaves it as it
-    was; anything else (``/dev/null``, a FIFO) is written in place."""
-    path = getattr(args, "output", None)
+def _emit(path, write_fn) -> None:
+    """``write_fn(stream)`` of UTF-8 bytes to stdout's buffer, or to ``path``
+    (``-o``).  A regular file is replaced only once the write succeeds, so a
+    failed run leaves it as it was; anything else (``/dev/null``, a FIFO) is
+    written in place."""
     if not path:
         sys.stdout.flush()
         write_fn(sys.stdout.buffer)
@@ -212,26 +209,12 @@ def _emit(args, write_fn) -> None:
         raise
 
 
-class _Utf8Stdout(io.TextIOWrapper):
-    """UTF-8 text written through to another stream's buffer, which stays
-    open when this layer is closed or collected."""
-
-    def close(self) -> None:
-        pass
-
-
 def main(argv=None) -> int:
     # A warning prints as one line; filters and recorders still apply.  Each
     # call runs on a copy of the filters, which starts a fresh once-per-line
     # registry, so a warning printed by an earlier call prints again.
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
-    # --help and stats print UTF-8 through this layer in any locale (TSV goes
-    # to the buffer); it holds no text of its own and never closes the buffer.
-    out = sys.stdout
-    if getattr(out, "buffer", None) and codecs.lookup(out.encoding).name != "utf-8":
-        out.flush()
-        sys.stdout = _Utf8Stdout(out.buffer, "utf-8", write_through=True)
     try:
         with warnings.catch_warnings():
             args = build_parser().parse_args(argv)
@@ -245,7 +228,6 @@ def main(argv=None) -> int:
         return 3 if isinstance(e, ParseError) else 2 if isinstance(e, OSError) else 1
     finally:
         warnings.formatwarning = formatwarning
-        sys.stdout = out
 
 
 def entrypoint() -> None:

@@ -272,8 +272,8 @@ def sparsify_top_t(pairs: SimilarityAccumulator, t: int) -> SimilarityAccumulato
         # above it, from w at uptr - nlo (>= 0: r's lower pairs precede it).
         nlo = cptr[rows + 1] - cptr[rows]
         block = _windows(w, uptr[rows] - nlo, deg[rows], width)
-        k = int(nlo.max())
-        np.copyto(block[:, :k], _windows(below, cptr[rows], nlo, k),
+        k = int(nlo.max())  # whole windows: only their first nlo cells are read
+        np.copyto(block[:, :k], _windows(below, cptr[rows], np.full_like(nlo, k), k),
                   where=np.arange(k) < nlo[:, None])
         k = width - t
         top = np.partition(block, k, axis=1)

@@ -250,6 +250,31 @@ class TestStatsCommand:
         assert main(["stats", "-i", inp, "--l", "0"]) == 1
         assert assert_one_error_line(capsys) == "error: depth must be ≥ 1"
 
+    def test_lines_in_order(self, tmp_path, capsys):
+        inp = write(tmp_path / "g.tsv", CHAIN)
+        assert main(["stats", "-i", inp, "--l", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "nodes\t3\nedges\t2\nself_loops_dropped\t0\n"
+            "out_degree\t0\t1\nout_degree\t1\t2\n"
+            "in_degree\t0\t1\nin_degree\t1\t2\n"
+            "closure_out_degree\t0\t1\nclosure_out_degree\t1\t1\n"
+            "closure_out_degree\t2\t1\n"
+            "closure_in_degree\t0\t1\nclosure_in_degree\t1\t1\n"
+            "closure_in_degree\t2\t1\n")
+
+    def test_memory_exhausted_prints_no_line(self, tmp_path, capsys,
+                                             monkeypatch):
+        """stats writes all its lines or none: a closure that runs out of
+        memory leaves stdout empty, after the counts are known."""
+        def local_closure(g, l):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "local_closure", local_closure)
+        inp = write(tmp_path / "g.tsv", CHAIN)
+        assert main(["stats", "-i", inp, "--l", "2"]) == 1
+        assert assert_one_error_line(capsys) == (
+            "error: out of memory; --top-t, --epsilon or --hub-cap keep fewer pairs")
+
 
 class TestUsageErrors:
     def test_unknown_method_exit_1(self, tmp_path, capsys):
@@ -509,30 +534,32 @@ class TestRejectedInputs:
 
 def _check_ascii_stdout(tmp_path, sub, launcher):
     """``python <launcher> <sub> -i g.tsv``, run with an ASCII stdout
-    encoding over a non-ASCII label, prints the bytes that -o writes."""
+    encoding over a non-ASCII label, prints the bytes that -o writes, or for
+    stats (which has no -o) the bytes of a run under UTF-8."""
     inp = tmp_path / "g.tsv"
     inp.write_text("节点\tc\nb\tc\n", encoding="utf-8")
-    dst = tmp_path / "out.tsv"
-    assert main([sub, "-i", str(inp), "-o", str(dst)]) == 0
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, *launcher, sub, "-i", str(inp)],
-                          capture_output=True, env=env, timeout=120)
+    if sub == "stats":
+        want = run_python(["-m", "reachsym", sub, "-i", str(inp)],
+                          PYTHONIOENCODING="utf-8").stdout
+    else:
+        dst = tmp_path / "out.tsv"
+        assert main([sub, "-i", str(inp), "-o", str(dst)]) == 0
+        want = dst.read_bytes()
+        assert "节点".encode("utf-8") in want
+    proc = run_python([*launcher, sub, "-i", str(inp)], PYTHONIOENCODING="ascii")
     assert proc.returncode == 0, proc.stderr
     assert b"Traceback" not in proc.stderr
-    assert proc.stdout == dst.read_bytes()
-    assert "节点".encode("utf-8") in proc.stdout
+    assert proc.stdout == want != b""
 
 
-@pytest.mark.parametrize("sub", ["symmetrize", "hierarchy"])
+@pytest.mark.parametrize("sub", ["symmetrize", "hierarchy", "stats"])
 def test_stdout_is_utf8_whatever_the_locale(tmp_path, sub):
     """stdout carries the bytes that -o writes, also when Python's stdout
     encoding is ASCII."""
     _check_ascii_stdout(tmp_path, sub, ["-m", "reachsym"])
 
 
-@pytest.mark.parametrize("sub", ["symmetrize", "hierarchy"])
+@pytest.mark.parametrize("sub", ["symmetrize", "hierarchy", "stats"])
 def test_in_process_main_writes_utf8_stdout(tmp_path, sub):
     """main() called in-process, without the entry point, also prints UTF-8
     under an ASCII stdout encoding."""
@@ -541,12 +568,14 @@ def test_in_process_main_writes_utf8_stdout(tmp_path, sub):
 
 @pytest.mark.parametrize("launcher", [["-m", "reachsym"], IN_PROCESS],
                          ids=["module", "in-process"])
-@pytest.mark.parametrize("sub", ["symmetrize", "hierarchy", "stats"])
+@pytest.mark.parametrize("sub", ["symmetrize", "hierarchy", "stats",
+                                 pytest.param(None, id="reachsym")])
 def test_help_is_utf8_whatever_the_locale(sub, launcher):
     """--help under an ASCII stdout encoding exits 0 and prints the bytes it
     prints under UTF-8."""
-    want = run_python(["-m", "reachsym", sub, "--help"], PYTHONIOENCODING="utf-8")
-    proc = run_python([*launcher, sub, "--help"], PYTHONIOENCODING="ascii")
+    argv = [sub, "--help"] if sub else ["--help"]
+    want = run_python(["-m", "reachsym", *argv], PYTHONIOENCODING="utf-8")
+    proc = run_python([*launcher, *argv], PYTHONIOENCODING="ascii")
     assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
     assert proc.stdout == want.stdout != b""
     if sub == "symmetrize":  # the only help text that is not ASCII
@@ -629,8 +658,8 @@ class _FailsOnce(io.RawIOBase):
 @pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
 def test_failed_stdout_write_is_one_error_line(tmp_path, capsys, monkeypatch,
                                                encoding):
-    """A write to stdout that fails is exit 2 with one error line, whether
-    main() wraps stdout (ascii) or writes to it as it is (utf-8)."""
+    """A write to stdout that fails is exit 2 with one error line, whatever
+    stdout's text encoding."""
     inp = write(tmp_path / "g.tsv", TWO_SOURCES)
     stdout = io.TextIOWrapper(io.BufferedWriter(_FailsOnce()), encoding=encoding)
     monkeypatch.setattr(sys, "stdout", stdout)
@@ -655,8 +684,8 @@ class _Recorder(io.RawIOBase):
 
 def test_ascii_stdout_is_written_line_by_line(tmp_path, monkeypatch):
     """Under an ASCII stdout, main() writes hierarchy's UTF-8 lines through
-    to stdout's buffer one at a time, not as one string, and the stream its
-    commands see has an encoding and a buffer."""
+    to stdout's buffer one at a time, not as one string, and its commands
+    see the caller's own stdout."""
     inp = tmp_path / "g.tsv"
     inp.write_text("".join(f"节点{i}\t{i + 1}\n" for i in range(200)),
                    encoding="utf-8")
@@ -669,14 +698,53 @@ def test_ascii_stdout_is_written_line_by_line(tmp_path, monkeypatch):
     seen, scores = [], cli.auto_hierarchy
 
     def auto_hierarchy(g):
-        seen.append((sys.stdout.encoding, sys.stdout.buffer))
+        seen.append(sys.stdout)
         return scores(g)
 
     monkeypatch.setattr(cli, "auto_hierarchy", auto_hierarchy)
     assert main(["hierarchy", "-i", str(inp)]) == 0
-    assert sys.stdout is stdout and seen == [("utf-8", stdout.buffer)]
+    assert sys.stdout is stdout and seen == [stdout]
     assert b"".join(raw.writes) == dst.read_bytes()
     assert len(raw.writes) > 100 and max(map(len, raw.writes)) < 64
+
+
+class _NoText(io.TextIOWrapper):
+    """A stdout whose text layer refuses every write: only its binary buffer
+    may be written."""
+
+    def write(self, s):
+        raise AssertionError(f"text written to stdout: {s!r}")
+
+
+@pytest.mark.parametrize("argv", [["symmetrize", "-i"], ["hierarchy", "-i"],
+                                  ["stats", "-i"], ["symmetrize", "--help"],
+                                  ["--help"]],
+                         ids=["symmetrize", "hierarchy", "stats", "help",
+                              "reachsym-help"])
+def test_main_keeps_the_callers_stdout(tmp_path, monkeypatch, argv):
+    """main() runs and returns with the caller's own sys.stdout object, and
+    writes every stdout byte to its buffer: the bytes of a UTF-8 run."""
+    if argv[-1] == "-i":
+        (tmp_path / "g.tsv").write_bytes("节点\tc\nb\tc\n".encode())
+        argv = argv + [str(tmp_path / "g.tsv")]
+    want = run_python(["-m", "reachsym", *argv], PYTHONIOENCODING="utf-8").stdout
+    raw = _Recorder()
+    stdout = _NoText(io.BufferedWriter(raw), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    seen, emit = [], cli._emit
+
+    def spy(path, write_fn):
+        seen.append(sys.stdout)
+        return emit(path, write_fn)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    try:
+        code = main(argv)
+    except SystemExit as e:  # --help
+        code = e.code
+    assert code == 0 and sys.stdout is stdout and seen == [stdout]
+    stdout.buffer.flush()
+    assert b"".join(raw.writes) == want != b""
 
 
 @pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
