@@ -12,7 +12,6 @@ from typing import IO
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .accumulator import SimilarityAccumulator
 
@@ -329,10 +328,12 @@ def condensation(g: DirectedGraph) -> tuple[np.ndarray, sp.csr_matrix]:
     """SCC component map and the acyclic condensation DAG.
 
     Returns (comp, dag): ``comp[u]`` is the SCC id of node u (ids are
-    contiguous), and row c of the boolean CSR ``dag`` holds the sorted
+    contiguous and in topological order: every DAG edge goes from a lower id
+    to a higher one), and row c of the boolean CSR ``dag`` holds the sorted
     distinct successor SCCs of c.
     """
-    ncomp, comp = connected_components(g.adj, directed=True, connection="strong")
+    comp, depth = _sccs(g.adj)
+    ncomp = len(depth)
     coo = g.adj.tocoo()
     cu = comp[coo.row]
     cv = comp[coo.col]
@@ -340,4 +341,76 @@ def condensation(g: DirectedGraph) -> tuple[np.ndarray, sp.csr_matrix]:
     dag = sp.csr_matrix((np.ones(int(keep.sum()), dtype=bool),
                          (cu[keep], cv[keep])), shape=(ncomp, ncomp))
     dag.sum_duplicates()
-    return comp.astype(np.int64), dag
+    return comp, dag
+
+
+def _sccs(adj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(comp, depth)``: each node's strongly connected component, numbered
+    in topological order, and each component's longest-path depth from the
+    components that have no predecessor.
+
+    One iterative Tarjan pass (SIAM J. Comput. 1972) over the reversed graph.
+    There a component completes only after every component it reaches, that
+    is, after every component that reaches it in ``adj``: so components
+    complete in topological order, and each one's depth is known when it
+    completes.  Each node carries the largest "1 + depth of a completed
+    component" seen from it and its DFS subtree within its own component;
+    a non-root hands it to its DFS parent, a root's is its component's depth.
+    So no edge is scanned twice.  As in Pearce (IPL 2016), one value per node
+    holds its DFS index, then its lowlink, then ``n + 1 +`` its component id.
+    """
+    n = adj.shape[0]
+    rev = adj.tocsc()  # column v holds v's predecessors: the reversed graph
+    ptr, nbr = memoryview(rev.indptr), memoryview(rev.indices)
+    del rev  # the views keep only the two index arrays
+    rindex = [0] * n  # 0: unvisited; 1..n: component open; above n: done
+    depth: list[int] = []
+    base = n + 1
+    stack: list[int] = []  # visited non-roots whose component is not done
+    frames: list[tuple] = []  # the DFS path above the node being scanned
+    index = 0
+    for s in range(n):
+        if rindex[s]:
+            continue
+        v, p, best = s, ptr[s], 0
+        index += 1
+        rindex[v] = low = index
+        while True:
+            end = ptr[v + 1]
+            while p < end:
+                w = nbr[p]
+                p += 1
+                r = rindex[w]
+                if not r:  # descend into w
+                    frames.append((v, p, low, best))
+                    v, p, best = w, ptr[w], 0
+                    index += 1
+                    rindex[w] = low = index
+                    end = ptr[w + 1]
+                elif r > n:  # w's component is done
+                    d = depth[r - base]
+                    if d >= best:
+                        best = d + 1
+                elif r < low:
+                    low = r
+            if low == rindex[v]:  # v is a root: its component is done
+                k = base + len(depth)
+                depth.append(best)
+                rindex[v] = k
+                while stack and rindex[stack[-1]] >= low:
+                    rindex[stack.pop()] = k
+                if not frames:
+                    break
+                best += 1
+                v, p, low, b = frames.pop()
+            else:  # v's component holds its DFS parent
+                rindex[v] = child = low
+                stack.append(v)
+                v, p, low, b = frames.pop()
+                if child < low:
+                    low = child
+            if b > best:
+                best = b
+    comp = np.array(rindex, dtype=np.int64)
+    comp -= base
+    return comp, np.array(depth, dtype=np.int64)

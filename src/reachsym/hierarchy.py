@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .accumulator import SimilarityAccumulator
-from .graph import DirectedGraph, ParseError, ValidationError, condensation
+from .graph import DirectedGraph, ParseError, ValidationError, _sccs
 
 
 @dataclass
@@ -56,22 +56,8 @@ def auto_hierarchy(g: DirectedGraph) -> HierarchyScores:
     Each SCC gets its longest-path distance from the DAG sources; nodes
     inherit their SCC's depth, normalized by the maximum depth.
     """
-    comp, dag = condensation(g)
-    c = dag.shape[0]
-    indptr, indices = dag.indptr.tolist(), dag.indices.tolist()
-    indeg = np.bincount(dag.indices, minlength=c).tolist()
-    depth = [0] * c
-    queue = [i for i in range(c) if indeg[i] == 0]
-    while queue:
-        s = queue.pop()
-        d = depth[s] + 1
-        for t in indices[indptr[s]:indptr[s + 1]]:
-            if d > depth[t]:
-                depth[t] = d
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    return HierarchyScores(_normalize(np.array(depth, dtype=np.float64)[comp]))
+    comp, depth = _sccs(g.adj)
+    return HierarchyScores(_normalize(depth[comp]))
 
 
 def load_hierarchy(stream: Iterable[str], g: DirectedGraph) -> HierarchyScores:

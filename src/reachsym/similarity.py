@@ -78,16 +78,18 @@ def _row_blocks(R: sp.csr_matrix) -> np.ndarray:
     """Row-block bounds for _co_reach, cut at equal cumulative product work.
 
     A row's work is the flop count of its product row: the summed column
-    counts of its entries.  About sqrt(work / (0.4 nnz)) blocks balance the
-    lower triangle that each extra block skips against the O(nnz) pass over
-    the rows below it that it costs; on small inputs a block's fixed cost of
-    scipy calls, about 2^15 flops' worth, takes the place of that pass.  A
-    row heavier than one block's share gets a block to itself.
+    counts of its entries.  About sqrt(work / (0.8 nnz)) blocks balance the
+    lower triangle that each extra block skips against what a block costs,
+    mostly scipy's passes over all the rows below it: about 0.4 nnz flops'
+    worth, fitted on power-law graphs of 12 k and 48 k nodes at l = 2.  On
+    small inputs a block's fixed cost of scipy calls, about 2^15 flops'
+    worth, takes the place of those passes.  A row heavier than one block's
+    share gets a block to itself.
     """
     n = R.shape[0]
     cols = np.bincount(R.indices, minlength=R.shape[1])
     cum = np.r_[0, np.cumsum(cols[R.indices])][R.indptr]  # work of rows < i
-    k = max(1, round(math.sqrt(cum[-1] / max(0.4 * R.nnz, 2 ** 15))))
+    k = max(1, round(math.sqrt(cum[-1] / max(0.8 * R.nnz, 2 ** 15))))
     step = cum[-1] / k
     heavy = np.flatnonzero(np.diff(cum) > step)
     cuts = np.searchsorted(cum, step * np.arange(1, k))
@@ -100,26 +102,27 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
     where Rd is R with optional per-entry discount factors multiplied in.
 
     P is symmetric, so row block [r0, r1) (from _row_blocks) is computed
-    only against rows r0:, as right[r0:] @ left[r0:r1]^T over a view of R's
-    arrays; only its first r1 - r0 rows, the block's own square, hold entries
-    with j <= i.  Entry (i, j) sums right[j, k] * left[i, k] over ascending
-    k: the terms of a full left @ right^T in the same order, and IEEE
-    products commute, so the weights are bit-identical to it.
+    only against rows r0:, as right[r0:] @ left[r0:r1]^T over views of R's
+    arrays; only its first r1 - r0 rows, the block's own square, hold
+    entries with j <= i.  Entry (i, j) sums right[j, k] * left[i, k] over
+    ascending k: the terms of a full left @ right^T in the same order, and
+    IEEE products commute, so the weights are bit-identical to it.
     """
     n = R.shape[0]
     base = R.data * np.repeat(outer, np.diff(R.indptr))
     if disc is not None:
         base = base * disc
-    left = sp.csr_matrix((base * inner[R.indices], R.indices, R.indptr),
-                         shape=R.shape)
+    lw = base * inner[R.indices]  # left's entries
 
     counts, vs, ws = [], [], []
     bounds = _row_blocks(R)
     for r0, r1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        p0 = R.indptr[r0]
+        p0, p1 = R.indptr[r0], R.indptr[r1]
         right = sp.csr_matrix((base[p0:], R.indices[p0:], R.indptr[r0:] - p0),
                               shape=(n - r0, n))
-        block = right @ left[r0:r1].T
+        left = sp.csr_matrix((lw[p0:p1], R.indices[p0:p1],
+                              R.indptr[r0:r1 + 1] - p0), shape=(r1 - r0, n))
+        block = right @ left.T
         # The square's kept entries move up against the rows below, in place.
         q, ptr, d, c = r1 - r0, block.indptr, block.data, block.indices
         h = ptr[q]
@@ -137,7 +140,7 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
         return SimilarityAccumulator.empty(n)
     # Blocks are row-major and each CSC column has sorted rows, so the joins
     # are in canonical (u, v) order.  Only the lists are held through them.
-    del base, left
+    del base, lw
     indptr = np.r_[0, np.cumsum(np.concatenate(counts))]
     idx = index_dtype(max(n, int(indptr[-1])))
     v = np.concatenate(vs, dtype=idx)

@@ -1,12 +1,14 @@
 """Test-only code: the dense oracle and a dense view of a pair set,
 per-source BFS, the scalar neighbor discount, a TSV reader for written
-output, and per-node views of CSR matrices and graphs.
+output, per-node views of CSR matrices and graphs, and longest-path depths
+over a dense closure.
 
 The references work on Python sets or explicit n x n numpy arrays,
 independent of the sparse production path; clarity over speed.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
 import numpy as np
@@ -123,6 +125,25 @@ def dense_closure(g: DirectedGraph, l) -> np.ndarray:
         acc = nxt
         step += 1
     return acc.astype(np.float64)
+
+
+def class_depths(g: DirectedGraph) -> np.ndarray:
+    """Each node's longest-path depth over the mutual-reachability classes
+    of a dense closure: 0 for a class that no edge from another class
+    enters, else one more than the deepest node with an edge into a member.
+
+    An edge from one class into another makes every node that reaches the
+    first reach the second, and the second's members no longer reach it, so
+    ascending counts of reaching nodes order the classes topologically."""
+    reach = (dense_closure(g, math.inf) != 0) | np.eye(g.n, dtype=bool)
+    mutual = reach & reach.T
+    adj = g.adj.toarray() != 0
+    depth = np.zeros(g.n, dtype=np.int64)
+    for v in np.argsort(reach.sum(axis=0), kind="stable").tolist():
+        into = adj[:, mutual[v]].any(axis=1) & ~mutual[v]
+        if into.any():
+            depth[v] = 1 + depth[into].max()
+    return depth
 
 
 def dense_similarity(closure: np.ndarray, alpha: float, beta: float,

@@ -429,3 +429,10 @@ class TestCondensation:
         g = graph_from_pairs([(0, 1), (1, 0), (1, 2), (3, 2)])
         comp, dag = condensation(g)
         assert sorted(set(comp.tolist())) == list(range(dag.shape[0]))
+
+    @given(digraphs(max_n=30, max_edges=80))
+    @settings(max_examples=100)
+    def test_ids_in_topological_order(self, g):
+        comp, dag = condensation(g)
+        coo = dag.tocoo()
+        assert (coo.row < coo.col).all()

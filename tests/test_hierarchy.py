@@ -4,18 +4,48 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachsym import (HierarchyScores, ParseError, SymmetrizationConfig,
-                      ValidationError, auto_hierarchy, graph_from_pairs,
-                      load_edge_list, load_hierarchy, local_closure,
-                      pair_hierarchy_discount, symmetrize)
+from reachsym import (DirectedGraph, HierarchyScores, ParseError,
+                      SymmetrizationConfig, ValidationError, auto_hierarchy,
+                      condensation, graph_from_pairs, load_edge_list,
+                      load_hierarchy, local_closure, pair_hierarchy_discount,
+                      symmetrize)
 from reachsym import hierarchy
+from reachsym.synthetic import powerlaw_digraph
 
 from conftest import (digraphs, pair_set, random_digraph, random_pairs,
                       traced_peak)
-from reference import distance_discount, out_neighbors
+from reference import class_depths, distance_discount, out_neighbors
+
+
+@st.composite
+def cyclic_digraphs(draw, max_n=30):
+    """A random digraph with a directed cycle through two or more nodes; if
+    self-loop nodes are drawn, built by DirectedGraph directly with those
+    diagonal entries, which the parser and graph_from_pairs drop."""
+    n = draw(st.integers(2, max_n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    ring = draw(st.permutations(range(n)))[:draw(st.integers(2, n))]
+    g = graph_from_pairs(edges + list(zip(ring, ring[1:] + ring[:1])), n=n)
+    loops = draw(st.lists(st.integers(0, n - 1), unique=True))
+    if not loops:
+        return g
+    diag = sp.csr_matrix((np.ones(len(loops)), (loops, loops)), shape=(n, n))
+    return DirectedGraph(n, g.labels, (g.adj + diag).tocsr())
+
+
+def deep_graph(shape, n=200_000):
+    """A path i -> i + 1 ("path"), its reverse ("reversed"), whose reversed
+    graph the SCC pass walks to depth n, or the cycle of the path and n-1 -> 0."""
+    i = np.arange(n)
+    j = (i + 1) % n
+    pairs = {"path": np.c_[i, j][:-1], "reversed": np.c_[j, i][:-1],
+             "cycle": np.c_[i, j]}[shape]
+    return graph_from_pairs(pairs, n=n)
 
 
 class TestAutoHierarchy:
@@ -59,6 +89,46 @@ class TestAutoHierarchy:
         g = graph_from_pairs([], n=0)
         score = auto_hierarchy(g).score
         assert score.dtype == np.float64 and score.shape == (0,)
+
+    @given(st.one_of(cyclic_digraphs(), digraphs(max_n=30, max_edges=60)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_depths_over_dense_closure(self, g):
+        depth = class_depths(g)
+        want = depth / depth.max() if depth.max() else np.zeros(g.n)
+        assert auto_hierarchy(g).score.tolist() == want.tolist()
+
+    def test_self_loop_entry_is_no_cycle(self):
+        # A diagonal entry that only DirectedGraph itself lets through.
+        adj = sp.csr_matrix(np.array([[0, 1, 0], [0, 1, 1], [0, 0, 0]], dtype=float))
+        g = DirectedGraph(3, ["a", "b", "c"], adj)
+        assert auto_hierarchy(g).score.tolist() == [0.0, 0.5, 1.0]
+        comp, dag = condensation(g)
+        assert comp.tolist() == [0, 1, 2]
+        assert dag.toarray().tolist() == [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+
+    @pytest.mark.parametrize("shape", ["path", "reversed", "cycle"])
+    def test_deep_graphs(self, shape):
+        # 200 000 nodes: a recursive pass would exceed Python's stack.
+        g = deep_graph(shape)
+        n = g.n
+        depth = {"path": np.arange(n), "reversed": np.arange(n)[::-1],
+                 "cycle": np.zeros(n, dtype=np.int64)}[shape]
+        want = depth / depth.max() if depth.max() else np.zeros(n)
+        assert auto_hierarchy(g).score.tolist() == want.tolist()
+        comp, dag = condensation(g)
+        # One component, or n in topological order: each id is its depth.
+        assert comp.tolist() == depth.tolist()
+        assert dag.shape == (comp.max() + 1,) * 2 and dag.nnz == comp.max()
+
+    @pytest.mark.parametrize("shape, bound", [("powerlaw", 100), ("cycle", 250)])
+    def test_traced_peak_per_node(self, shape, bound):
+        # Traced bytes per node: about 60 on the power-law graph (the
+        # benchmark's shape), 190 on the cycle, whose DFS path holds every
+        # node.
+        g = (powerlaw_digraph(20_000, 40_000, 0.45, seed=1) if shape == "powerlaw"
+             else deep_graph("cycle", 50_000))
+        _, peak = traced_peak(auto_hierarchy, g)
+        assert peak / g.n < bound
 
 
 class TestLoadHierarchy:

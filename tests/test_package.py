@@ -1,6 +1,8 @@
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -89,3 +91,18 @@ def test_every_benchmark_span_resolves(monkeypatch):
         for part in attr_path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+@pytest.mark.parametrize("module", ["reachsym", "reachsym.cli"])
+def test_import_loads_neither_csgraph_nor_linalg(module):
+    # Every CLI run pays for its imports; numpy and scipy.sparse suffice.
+    src = os.path.dirname(os.path.dirname(reachsym.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=path))
+    loaded = proc.stdout.split()
+    assert "scipy.sparse" in loaded
+    for heavy in ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"):
+        assert heavy not in loaded

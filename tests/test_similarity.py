@@ -861,10 +861,12 @@ class TestRowBlocks:
         assert len(_co_reach(R, np.ones(5), np.ones(5))) == 0
 
     def test_hub_row_gets_its_own_block(self):
-        # Row 40 000 holds every column, rows below 20 000 only their own.
-        # The hub's work (80 000 flops) is over half the total (120 000),
-        # which is more than a block's share.
-        n, hub, r = 60_000, 40_000, 20_000
+        # Row 50 000 holds every column, rows below 48 000 only their own.
+        # The hub's work (108 000 flops) is over half the total (204 000),
+        # which is more than a block's share.  No row's work exceeds nnz, so
+        # a row is heavy only where the blocks outnumber work / nnz (here
+        # 1.89 against 2 blocks).
+        n, hub, r = 60_000, 50_000, 48_000
         rows = np.r_[np.arange(r), np.full(n, hub)]
         cols = np.r_[np.arange(r), np.arange(n)]
         R = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
