@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(f) -> bytes:
-    """The bytes of the binary file ``f`` with universal newlines, as text
-    mode reads them; a line that is not UTF-8 is a parse error."""
+    """The bytes of the binary file ``f``; a line that is not UTF-8 is a
+    parse error."""
     data = f.read()
     if not data.isascii():
         try:
@@ -107,7 +107,7 @@ def _read(f) -> bytes:
         except UnicodeDecodeError as e:
             raise ParseError(f"invalid UTF-8 in {f.name}",
                              data.count(b"\n", 0, e.start) + 1) from None
-    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+    return data
 
 
 def _load_graph(args) -> DirectedGraph:
@@ -143,7 +143,7 @@ def run_symmetrize(args) -> int:
     with open(path, "rb") if path is not None else io.BytesIO() as scores:
         g = _load_graph(args)
         h = (None if args.hierarchy == "none" else auto_hierarchy(g) if path is None
-             else load_hierarchy(io.StringIO(_read(scores).decode()), g))
+             else load_hierarchy(io.StringIO(_read(scores).decode(), newline=None), g))
     result = symmetrize(g, cfg, h)
     _emit(args.output, lambda f: write_undirected(result, g.raw_labels, f,
                                                   precision=args.precision))

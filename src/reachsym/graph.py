@@ -93,21 +93,22 @@ def _line_error(parts: list[str], line_no: int, weighted: bool) -> None:
 def load_edge_list(stream: IO, weighted: bool = False) -> DirectedGraph:
     """Parse a TSV edge list: ``src<TAB>dst[<TAB>weight]``, ``#`` comments.
 
-    The stream, of text or UTF-8 bytes, is read whole; lines split at ``\\n``
-    and lose their trailing ``\\r``s.  Nodes are interned in first-appearance
-    order, labels compared byte for byte.  Duplicate directed edges collapse
-    (weights summed when ``weighted``, unit otherwise); self-loops are dropped
-    and counted.  A malformed line raises the error of the first such line,
-    with its 1-based line number.
+    The stream, of text or UTF-8 bytes, is read whole; ``\\r\\n``, a lone
+    ``\\r`` and ``\\n`` each end a line, as in text mode.  Nodes are interned
+    in first-appearance order, labels compared byte for byte.  Duplicate
+    directed edges collapse (weights summed when ``weighted``, unit
+    otherwise); self-loops are dropped and counted.  A malformed line raises
+    the error of the first such line, with its 1-based line number.
     """
     raw = stream.read()
     if isinstance(raw, str):
         raw = raw.encode("utf-8", "surrogatepass")
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     raw += b"\n" + bytes(8)  # a closing newline, then room for _words' last load
     b = np.frombuffer(raw, dtype=np.uint8)[:-8]
-    # Data line i is b[start[i]:end[i]], its trailing run of \r cut off.
-    # Blank lines, found byte by byte, and comment lines, dropped by their
-    # first byte, get no entry.
+    # Data line i is b[start[i]:end[i]].  Blank lines, found byte by byte, and
+    # comment lines, dropped by their first byte, get no entry.
     nl = np.r_[True, b == 10]  # nl[p]: byte p - 1 is a newline, or p is 0
     start, end = nl[:-1] > nl[1:], nl[1:] > nl[:-1]  # of non-blank lines
     del nl
@@ -116,13 +117,6 @@ def load_edge_list(stream: IO, weighted: bool = False) -> DirectedGraph:
         start[start] = data
         end[end] = data
     start, end = np.flatnonzero(start), np.flatnonzero(end)
-    cr = np.flatnonzero(b == 13)
-    run_start = np.maximum.accumulate(np.where(np.diff(cr, prepend=-2) > 1,
-                                               cr, 0))
-    hit = np.flatnonzero(b[end - 1] == 13)
-    end[hit] = run_start[np.searchsorted(cr, end[hit] - 1)]
-    is_data = end > start
-    start, end = start[is_data], end[is_data]
     # Checks over all lines at once; only if one fails are the lines walked
     # in order, to raise the first line's error.
     tab = np.r_[np.flatnonzero(b == 9), len(b)]
@@ -239,9 +233,19 @@ def write_undirected(pairs: SimilarityAccumulator, labels: list[str] | bytes,
     ``DirectedGraph.raw_labels`` does; the weight is ``%.{precision}f``.
 
     Output is byte-identical across runs and worker counts for equal inputs.
+    A label that holds a tab or a line end raises ValidationError before any
+    byte is written: the TSV cannot carry it.
     """
+    raw = labels if isinstance(labels, bytes) else "".join(
+        s + "\n" for s in labels).encode("utf-8", "surrogatepass")
+    if (b"\t" in raw or b"\r" in raw or not isinstance(labels, bytes)
+            and raw.count(b"\n") != len(labels)):  # a listed label holds \n
+        names = raw.decode("utf-8", "surrogatepass").split("\n") \
+            if isinstance(labels, bytes) else labels
+        bad = next(s for s in names if "\t" in s or "\n" in s or "\r" in s)
+        raise ValidationError(f"label {bad!r} holds a tab or a line end")
     w = np.asarray(pairs.w, dtype=np.float64)  # float32 would round as float32
-    table = _label_table(labels) if len(w) else None
+    table = _label_table(raw) if len(w) else None
     names = None  # the labels as an object array, once a slice needs `%`
     for s in range(0, len(w), _WRITE_CHUNK):
         u = pairs.rows(s, s + _WRITE_CHUNK)
@@ -250,8 +254,8 @@ def write_undirected(pairs: SimilarityAccumulator, labels: list[str] | bytes,
                                                          precision)
         if out is None:
             if names is None:
-                names = np.array(labels.decode("utf-8", "surrogatepass").split(
-                    "\n")[:-1] if isinstance(labels, bytes) else labels, dtype=object)
+                names = np.array(raw.decode("utf-8", "surrogatepass").split(
+                    "\n")[:-1], dtype=object)
             items = [None] * (3 * len(ws))
             items[0::3] = names[u].tolist()
             items[1::3] = names[v].tolist()
@@ -261,19 +265,16 @@ def write_undirected(pairs: SimilarityAccumulator, labels: list[str] | bytes,
         stream.write(out)
 
 
-def _label_table(labels: list[str] | bytes) -> np.ndarray | None:
-    """The labels, as ``write_undirected`` takes them, as a NUL-padded
-    ``S{width}`` array of their UTF-8 bytes; None when a label contains NUL
-    or a listed one a newline, the widest is over 64 bytes (``%`` is faster
-    from there), or the table would be far larger than the labels' bytes."""
-    buf = labels if isinstance(labels, bytes) else "".join(
-        s + "\n" for s in labels).encode("utf-8", "surrogatepass")
+def _label_table(buf: bytes) -> np.ndarray | None:
+    """The labels, UTF-8 bytes each ended by ``\\n``, as a NUL-padded
+    ``S{width}`` array; None when a label contains NUL, the widest is over 64
+    bytes (``%`` is faster from there), or the table would be far larger than
+    the labels' bytes."""
     ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 10)
     starts = np.r_[0, ends[:-1] + 1]
     lens = ends - starts
     width = max(int(lens.max()), 1)
-    if (b"\0" in buf or width > 64 or len(lens) * width > 4 * len(buf)
-            or not isinstance(labels, bytes) and len(lens) != len(labels)):
+    if b"\0" in buf or width > 64 or len(lens) * width > 4 * len(buf):
         return None
     rows = np.ascontiguousarray(_words(buf + bytes(8), starts, lens, width).T)
     return rows.view(np.uint8)[:, :width].copy().view(f"S{width}").ravel()

@@ -83,17 +83,14 @@ def _row_blocks(R: sp.csr_matrix) -> np.ndarray:
     mostly scipy's passes over all the rows below it: about 0.4 nnz flops'
     worth, fitted on power-law graphs of 12 k and 48 k nodes at l = 2.  On
     small inputs a block's fixed cost of scipy calls, about 2^15 flops'
-    worth, takes the place of those passes.  A row heavier than one block's
-    share gets a block to itself.
+    worth, takes the place of those passes.
     """
     n = R.shape[0]
     cols = np.bincount(R.indices, minlength=R.shape[1])
     cum = np.r_[0, np.cumsum(cols[R.indices])][R.indptr]  # work of rows < i
     k = max(1, round(math.sqrt(cum[-1] / max(0.8 * R.nnz, 2 ** 15))))
-    step = cum[-1] / k
-    heavy = np.flatnonzero(np.diff(cum) > step)
-    cuts = np.searchsorted(cum, step * np.arange(1, k))
-    return np.unique(np.r_[0, cuts, heavy, heavy + 1, n])
+    cuts = np.searchsorted(cum, cum[-1] / k * np.arange(1, k))
+    return np.unique(np.r_[0, cuts, n])
 
 
 def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,

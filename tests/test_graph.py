@@ -1,6 +1,7 @@
 import argparse
 import io
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -81,6 +82,16 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="^line 2000003: expected"):
             load(text + "c\n")
 
+    @pytest.mark.parametrize("line", ["\r\n", "#\r\n"], ids=["blank", "comment"])
+    def test_crlf_lines_take_no_per_line_memory(self, line):
+        # Line ends become \n before lines are found: 2.0 and 2.7 bytes per
+        # input byte (29 and 9.3 when every \r got run arrays of its own).
+        text = "a\tb\r\n" + line * 2_000_000 + "b\tc\r\n"
+        for stream in (io.StringIO(text, newline=""), io.BytesIO(text.encode())):
+            g, peak = traced_peak(load_edge_list, stream)
+            assert g.labels == ["a", "b", "c"] and g.edge_count == 2
+            assert peak < 5 * len(text)
+
     def test_comment_lines_take_no_per_line_memory(self, tmp_path):
         # Comment lines are dropped by their first byte before the per-line
         # arrays are built: the same 4.0 bytes per input byte as blank lines
@@ -131,10 +142,10 @@ _LINE = st.one_of(
     st.lists(_LABEL | _WEIGHT, min_size=1, max_size=4).map("\t".join))
 
 
-def parsed(parse, text, weighted):
-    """Labels, CSR arrays and loop count, or the error's type and text.
-    Lines split at ``\\n`` only, as ``load_edge_list`` splits them."""
-    return outcome(lambda: parse(io.StringIO(text, newline="\n"),
+def parsed(parse, text, weighted, newline=None):
+    """Labels, CSR arrays and loop count, or the error's type and text, of
+    ``text`` read through ``io.StringIO(text, newline=newline)``."""
+    return outcome(lambda: parse(io.StringIO(text, newline=newline),
                                  weighted=weighted))
 
 
@@ -153,15 +164,18 @@ def outcome(run):
 
 class TestLoadMatchesLineByLine:
     @given(st.lists(_LINE, max_size=12),
-           st.sampled_from(["\n", "\r\n", "\r\r\n"]), st.booleans(),
+           st.sampled_from(["\n", "\r\n", "\r\r\n", "\r"]), st.booleans(),
            st.booleans(), st.booleans())
     @settings(max_examples=400, deadline=None)
     def test_same_graph_or_same_error(self, lines, eol, last_eol, weighted,
                                       bom):
+        """The text, its line ends untranslated, gives the graph of the text
+        read with universal newlines: ``\\r\\n``, a lone ``\\r`` (one inside
+        a label too) and ``\\n`` each end a line, so ``\\r\\r\\n`` ends two."""
         # A BOM is part of the first label: the input is utf-8, not utf-8-sig.
         text = "\ufeff" * bom + eol.join(lines) + (eol if last_eol else "")
         want = parsed(load_edge_list_by_lines, text, weighted)
-        assert parsed(load_edge_list, text, weighted) == want
+        assert parsed(load_edge_list, text, weighted, newline="") == want
         # The same text as UTF-8 bytes gives the same graph or error.
         assert outcome(lambda: load_edge_list(io.BytesIO(text.encode(
             "utf-8", "surrogatepass")), weighted=weighted)) == want
@@ -316,7 +330,7 @@ class TestWriteUndirected:
                 self.text(write_undirected_by_fstrings, pairs, labels, precision)
 
     @pytest.mark.parametrize("extra", [
-        ["x\0y", "x\ny"], ["z" * 10_000], [f"{'w' * 63}{i}" for i in range(9)],
+        ["x\0y"], ["z" * 10_000], [f"{'w' * 63}{i}" for i in range(9)],
         [f"{'w' * 64}{i}" for i in range(9)]], ids=["nul", "10kB", "64B", "65B"])
     @pytest.mark.parametrize("precision", [0, 6, 17])
     def test_label_edge_cases(self, extra, precision):
@@ -328,28 +342,40 @@ class TestWriteUndirected:
                          (np.arange(m) * 7 % n)[order], w[order])
         want = self.text(write_undirected_by_fstrings, pairs, labels, precision)
         assert self.text(write_undirected, pairs, labels, precision) == want
-        if not any("\n" in s for s in labels):
-            # The labels as the parser keeps them: UTF-8, each ended by \n.
-            blob = "".join(s + "\n" for s in labels).encode()
-            assert self.text(write_undirected, pairs, blob, precision) == want
+        # The labels as the parser keeps them: UTF-8, each ended by \n.
+        blob = "".join(s + "\n" for s in labels).encode()
+        assert self.text(write_undirected, pairs, blob, precision) == want
+
+    @pytest.mark.parametrize("labels, bad", [
+        (["a\tb", "c", "d"], "a\tb"), (["c", "a\nb", "d"], "a\nb"),
+        (["c", "d", "\r"], "\r"), (b"c\na\tb\nd\n", "a\tb"),
+        (b"c\nd\na\rb\n", "a\rb")],
+        ids=["tab", "newline", "cr", "bytes-tab", "bytes-cr"])
+    def test_label_the_tsv_cannot_carry_is_refused(self, labels, bad):
+        # Written, "a\tb" would read back as "non-numeric weight 'c'", and
+        # "a\nb" would split its line in two.
+        pairs, _ = self.make([(0, 1, 0.5), (1, 2, 0.25)], ["", "", ""])
+        buf = io.BytesIO()
+        with pytest.raises(ValidationError,
+                           match=f"^label {re.escape(repr(bad))} holds"):
+            write_undirected(pairs, labels, buf)
+        assert buf.getvalue() == b""
 
     def test_which_labels_get_a_table(self):
         # NUL would be compressed out of a record; past 64 bytes `%` is the
         # faster writer; one long label would widen the whole table.
+        def table(labels):  # of the labels as the parser keeps them
+            return graph._label_table("".join(s + "\n" for s in labels).encode())
+
         many = [str(i) for i in range(100)]
-        assert graph._label_table(many + ["x\0y"]) is None
-        assert graph._label_table(many + ["x\ny"]) is None
-        assert graph._label_table(many + ["z" * 10_000]) is None
-        assert graph._label_table(many + ["z" * 60]) is None
+        assert table(many + ["x\0y"]) is None
+        assert table(many + ["z" * 10_000]) is None
+        assert table(many + ["z" * 60]) is None
         wide = [f"{'w' * 63}{i}" for i in range(9)]
-        assert graph._label_table(wide).dtype.itemsize == 64
-        assert graph._label_table([s + "w" for s in wide]) is None
+        assert table(wide).dtype.itemsize == 64
+        assert table([s + "w" for s in wide]) is None
         for labels in (_LABELS, ["abc", "de", "f"], ["", "12345678", "é" * 4]):
-            want = [s.encode() for s in labels]
-            assert graph._label_table(labels).tolist() == want
-            # The same labels as the parser keeps them.
-            blob = "".join(s + "\n" for s in labels).encode()
-            assert graph._label_table(blob).tolist() == want
+            assert table(labels).tolist() == [s.encode() for s in labels]
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
                               st.floats(0.001, 100)), max_size=20))

@@ -860,23 +860,6 @@ class TestRowBlocks:
         R = sp.csr_matrix((5, 5))
         assert len(_co_reach(R, np.ones(5), np.ones(5))) == 0
 
-    def test_hub_row_gets_its_own_block(self):
-        # Row 50 000 holds every column, rows below 48 000 only their own.
-        # The hub's work (108 000 flops) is over half the total (204 000),
-        # which is more than a block's share.  No row's work exceeds nnz, so
-        # a row is heavy only where the blocks outnumber work / nnz (here
-        # 1.89 against 2 blocks).
-        n, hub, r = 60_000, 50_000, 48_000
-        rows = np.r_[np.arange(r), np.full(n, hub)]
-        cols = np.r_[np.arange(r), np.arange(n)]
-        R = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        bounds = _row_blocks(R).tolist()
-        assert len(bounds) > 2
-        i = bounds.index(hub)
-        assert bounds[i + 1] == hub + 1
-        assert_bit_equal(_co_reach(R, np.ones(n), np.ones(n)),
-                         co_reach_full_rows(R, np.ones(n), np.ones(n)))
-
     @given(st.one_of(digraphs(max_n=40, max_edges=200), hub_digraphs()),
            st.sampled_from([1, 2, INF]))
     @settings(max_examples=100, deadline=None)
