@@ -99,14 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read(f) -> bytes:
     """The bytes of the binary file ``f``; a line that is not UTF-8 is a
-    parse error."""
+    parse error, numbered as the parser numbers it: ``\r\n``, a lone ``\r``
+    and ``\n`` each end a line."""
     data = f.read()
     if not data.isascii():
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as e:
-            raise ParseError(f"invalid UTF-8 in {f.name}",
-                             data.count(b"\n", 0, e.start) + 1) from None
+            ends = (data.count(b"\n", 0, e.start) + data.count(b"\r", 0, e.start)
+                    - data.count(b"\r\n", 0, e.start))
+            raise ParseError(f"invalid UTF-8 in {f.name}", ends + 1) from None
     return data
 
 
@@ -209,12 +211,24 @@ def _emit(path, write_fn) -> None:
         raise
 
 
+def _memory_hint(args) -> str:
+    """The flags that lower the peak of a run that ran out of memory: the
+    closure and its pairs set it, not the top-t or epsilon cuts after them."""
+    command = getattr(args, "subcommand", None)
+    if command == "symmetrize" and args.method in (None, "reach"):
+        return "; --hub-cap or a smaller --l keep fewer pairs"
+    if command == "stats" and args.l is not None:
+        return "; a smaller --l keeps a smaller closure"
+    return ""
+
+
 def main(argv=None) -> int:
     # A warning prints as one line; filters and recorders still apply.  Each
     # call runs on a copy of the filters, which starts a fresh once-per-line
     # registry, so a warning printed by an earlier call prints again.
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    args = None  # until parsed; the memory hint reads them
     try:
         with warnings.catch_warnings():
             args = build_parser().parse_args(argv)
@@ -223,8 +237,9 @@ def main(argv=None) -> int:
                       "stats": run_stats}[args.subcommand]
             return runner(args)
     except (ParseError, ValidationError, OSError, MemoryError) as e:
-        why = "out of memory; --top-t, --epsilon or --hub-cap keep fewer pairs"
-        print(f"error: {why if isinstance(e, MemoryError) else e}", file=sys.stderr)
+        why = "out of memory" + _memory_hint(args) if isinstance(
+            e, MemoryError) else e
+        print(f"error: {why}", file=sys.stderr)
         return 3 if isinstance(e, ParseError) else 2 if isinstance(e, OSError) else 1
     finally:
         warnings.formatwarning = formatwarning

@@ -59,12 +59,13 @@ def _build_graph(n: int, labels: list[str] | bytes, u: np.ndarray,
     weight when ``w`` is None, else to their weights summed in input order."""
     keep = u != v
     u, v = u[keep], v[keep]
-    w = None if w is None else w[keep]
-    # return_inverse takes numpy's sorting path, many times faster than the
-    # plain call for int64 keys.
-    key, inv = np.unique(u * n + v, return_inverse=True)
-    data = np.ones(len(key)) if w is None else \
-        np.bincount(inv, weights=w, minlength=len(key))
+    if w is None:  # a sort and an adjacent compare drop the duplicates
+        key = np.sort(u * n + v)
+        key = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
+        data = np.ones(len(key))
+    else:  # the inverse sums each key's weights in input order
+        key, inv = np.unique(u * n + v, return_inverse=True)
+        data = np.bincount(inv, weights=w[keep], minlength=len(key))
     # The sorted keys are the (u, v)-ordered CSR entries.
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
@@ -107,42 +108,54 @@ def load_edge_list(stream: IO, weighted: bool = False) -> DirectedGraph:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     raw += b"\n" + bytes(8)  # a closing newline, then room for _words' last load
     b = np.frombuffer(raw, dtype=np.uint8)[:-8]
-    # Data line i is b[start[i]:end[i]].  Blank lines, found byte by byte, and
+    # Data line i starts at start[i].  Blank lines, found byte by byte, and
     # comment lines, dropped by their first byte, get no entry.
     nl = np.r_[True, b == 10]  # nl[p]: byte p - 1 is a newline, or p is 0
-    start, end = nl[:-1] > nl[1:], nl[1:] > nl[:-1]  # of non-blank lines
+    start, sep = nl[:-1] > nl[1:], nl[1:] > nl[:-1]  # of non-blank lines
     del nl
-    if raw[:1] == b"#" or b"\n#" in raw:
+    comments = raw[:1] == b"#" or b"\n#" in raw
+    if comments:
         data = b[start] != ord("#")  # one flag per non-blank line
         start[start] = data
-        end[end] = data
-    start, end = np.flatnonzero(start), np.flatnonzero(end)
+        sep[sep] = data
+        del data
+    start = np.flatnonzero(start)  # its mask is freed before sep's grows
+    # The separators in order: every tab and the end of every data line,
+    # which is sep[last[i]] for line i.  Line i's fields lie between its
+    # start and sep[first[i]], then between consecutive separators.  Without
+    # comment lines, whose tabs sit between two data lines, line i's first
+    # separator is the one after line i - 1's end.
+    sep |= b == 9
+    sep = np.flatnonzero(sep)
+    last = np.flatnonzero(b[sep] == 10)
+    first = np.searchsorted(sep, start) if comments else np.r_[0, last + 1][:-1]
     # Checks over all lines at once; only if one fails are the lines walked
     # in order, to raise the first line's error.
-    tab = np.r_[np.flatnonzero(b == 9), len(b)]
-    lo = np.searchsorted(tab, start)
-    ok = bool((np.searchsorted(tab, end) - lo > weighted).all())
+    ok = bool((last - first > weighted).all())  # each line's tab count
     if ok:  # fields 0 and 1 of each line, interleaved: src0, dst0, src1, ...
-        fs = np.c_[start, tab[lo] + 1].ravel()
-        fe = np.c_[tab[lo], np.minimum(tab[lo + 1], end)].ravel()
+        fs = np.empty(2 * len(start), dtype=np.int64)
+        fe = np.empty_like(fs)
+        fs[0::2], fe[0::2], fe[1::2] = start, sep[first], sep[first + 1]
+        fs[1::2] = fe[0::2] + 1
         ok = bool((fe > fs).all())
     w = None
     if ok and weighted:
         try:
-            w = np.fromiter(map(float, _ranges(b, tab[lo + 1] + 1, np.minimum(
-                tab[lo + 2], end)).decode("utf-8", "surrogatepass").split("\n")),
+            w = np.fromiter(map(float, _ranges(b, sep[first + 1] + 1, sep[
+                first + 2]).decode("utf-8", "surrogatepass").split("\n")),
                 np.float64, len(start))
             ok = bool((np.isfinite(w) & (w > 0)).all())
         except ValueError:
             ok = False
     if not ok:
         line_nos = np.searchsorted(np.flatnonzero(b == 10), start) + 1
-        for s, e, line_no in zip(start.tolist(), end.tolist(), line_nos.tolist()):
+        for s, e, line_no in zip(start.tolist(), sep[last].tolist(),
+                                 line_nos.tolist()):
             _line_error(raw[s:e].decode("utf-8", "surrogatepass").split("\t"),
                         line_no, weighted)
     ids, firsts = _intern(raw, b, fs, fe - fs) if len(start) else (fs, fs)
     labels = _ranges(b, fs[firsts], fe[firsts])
-    del raw, b, start, end, tab, lo, fs, fe  # not held while the CSR is built
+    del raw, b, start, sep, last, first, fs, fe  # not held while the CSR is built
     return _build_graph(len(firsts), labels, ids[0::2], ids[1::2], w)
 
 
@@ -161,8 +174,9 @@ def _words(buf: bytes, starts: np.ndarray, lens: np.ndarray,
     at = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))
     rows = np.empty((-(-width // 8), len(starts)), dtype="<u8")
     for j, row in enumerate(rows):
-        # Not take, which copies `at`; word j of a short token may be past it.
-        row[:] = at[np.minimum(starts + 8 * j, len(at) - 1)]
+        # Not take, which copies `at`; word j > 0 of a short token may be past
+        # it, word 0 never is.
+        row[:] = at[np.minimum(starts + 8 * j, len(at) - 1) if j else starts]
         row &= _MASK.take(lens - 8 * j, mode="clip")
     return rows
 
@@ -186,13 +200,14 @@ def _intern(raw: bytes, b: np.ndarray, starts: np.ndarray,
         keys = np.vstack([keys, lens.astype(np.uint64)])
     order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
     sk = keys[:, order]
-    new = np.r_[True, (sk[:, 1:] != sk[:, :-1]).any(axis=0)]
-    firsts = np.minimum.reduceat(order, np.flatnonzero(new))
+    runs = np.flatnonzero(np.r_[True, (sk[:, 1:] != sk[:, :-1]).any(axis=0)])
+    firsts = np.minimum.reduceat(order, runs)  # each run of equal tokens
+    by_first = np.argsort(firsts)
     rank = np.empty_like(firsts)
-    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    rank[by_first] = np.arange(len(firsts))
     ids = np.empty_like(order)
-    ids[order] = rank[np.cumsum(new) - 1]
-    return ids, np.sort(firsts)
+    ids[order] = np.repeat(rank, np.diff(runs, append=len(order)))
+    return ids, firsts[by_first]
 
 
 def _ranges(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> bytes:
@@ -221,9 +236,13 @@ def graph_from_pairs(pairs, n: int | None = None, weights=None) -> DirectedGraph
 # Pairs per written slice; its byte records stay well under the parser's
 # memory peak.
 _WRITE_CHUNK = 1 << 16
-# _DIGIT_PAIRS[k] is "%02d" % k in ASCII, as one uint16.
-_DIGIT_PAIRS = np.frombuffer("".join(map("{:02d}".format, range(100))).encode(),
-                             dtype="<u2")
+# _DIGITS[k][i] is "%0{k}d" % i in ASCII, as one little-endian k-byte word.
+# The four-digit words join two pairs, the high one in the low bytes; that
+# takes ~0.01 ms, formatting 10 000 strings ~3 ms of every import.
+_DIGITS = {2: np.frombuffer("".join(map("{:02d}".format, range(100))).encode(),
+                            dtype="<u2")}
+_DIGITS[4] = (_DIGITS[2][:, None] | _DIGITS[2].astype("<u4") << 16).astype(
+    "<u4").ravel()
 
 
 def write_undirected(pairs: SimilarityAccumulator, labels: list[str] | bytes,
@@ -248,16 +267,17 @@ def write_undirected(pairs: SimilarityAccumulator, labels: list[str] | bytes,
     table = _label_table(raw) if len(w) else None
     names = None  # the labels as an object array, once a slice needs `%`
     for s in range(0, len(w), _WRITE_CHUNK):
-        u = pairs.rows(s, s + _WRITE_CHUNK)
-        v, ws = pairs.v[s:s + _WRITE_CHUNK], w[s:s + _WRITE_CHUNK]
-        out = None if table is None else _format_records(table, u, v, ws,
-                                                         precision)
+        e = s + _WRITE_CHUNK
+        v, ws = pairs.v[s:e], w[s:e]
+        # u is sorted: each row's label is repeated, not gathered per pair.
+        out = None if table is None else _format_records(
+            pairs.rows(s, e, table), table[v], ws, precision)
         if out is None:
             if names is None:
                 names = np.array(raw.decode("utf-8", "surrogatepass").split(
                     "\n")[:-1], dtype=object)
             items = [None] * (3 * len(ws))
-            items[0::3] = names[u].tolist()
+            items[0::3] = pairs.rows(s, e, names).tolist()
             items[1::3] = names[v].tolist()
             items[2::3] = ws.tolist()
             out = ((f"%s\t%s\t%.{precision}f\n" * len(ws)) % tuple(items)).encode(
@@ -280,14 +300,15 @@ def _label_table(buf: bytes) -> np.ndarray | None:
     return rows.view(np.uint8)[:, :width].copy().view(f"S{width}").ravel()
 
 
-def _format_records(table: np.ndarray, u, v, w, precision: int) -> bytes | None:
-    """The pairs' lines, as fixed-width byte records with NULs compressed out;
-    None when over 3/4 of the weights need ``%`` (then ``%`` is faster).
+def _format_records(u, v, w, precision: int) -> bytes | None:
+    """The lines of the pairs labelled ``u`` and ``v`` (rows of the label
+    table), as fixed-width byte records with NULs dropped; None when over 3/4
+    of the weights need ``%`` (then ``%`` is faster).
 
     For 0 ≤ y = w·10^p < 2^30, y is within 2^-24 of the exact product, so
     rint(y) rounds as ``%`` does unless y is within 1e-6 of a boundary.  Other
     weights are formatted by ``%`` into their record's weight field."""
-    m, p, width = len(w), precision, table.dtype.itemsize
+    m, p, width = len(w), precision, u.dtype.itemsize
     with np.errstate(over="ignore", invalid="ignore"):
         y = w * 10.0 ** p
         x = np.rint(y)
@@ -303,26 +324,28 @@ def _format_records(table: np.ndarray, u, v, w, precision: int) -> bytes | None:
     field = max(n_int + p + (p > 0), slow_text.dtype.itemsize)
     # Record: u, tab, v, tab, the weight right-aligned in its field, newline.
     b = np.zeros((m, 2 * width + 3 + field), dtype=np.uint8)
-    b[:, :width].view(table.dtype)[:, 0] = table[u]
-    b[:, width + 1:2 * width + 1].view(table.dtype)[:, 0] = table[v]
+    b[:, :width].view(u.dtype)[:, 0] = u
+    b[:, width + 1:2 * width + 1].view(v.dtype)[:, 0] = v
     b[:, width] = b[:, 2 * width + 1] = ord("\t")
     b[:, -1] = ord("\n")
     if p:
         b[:, -2 - p] = ord(".")
-    # Digits right to left, two per uint16 store: the fraction's, then the
-    # integer part's, whose leading zeros are cleared back to NUL.
+    # Digits right to left, four per uint32 store, then two, then one: the
+    # fraction's, then the integer part's, whose leading zeros are cleared
+    # back to NUL.
     for val, end, n in ((frac, b.shape[1] - 1, p),
                         (whole, b.shape[1] - 1 - p - (p > 0), n_int)):
-        for k in range(n // 2):
-            val, low = np.divmod(val, 100)
-            b[:, end - 2 * k - 2:end - 2 * k].view("<u2")[:, 0] = _DIGIT_PAIRS[low]
+        at = end  # just past the next digits to store
+        for k in [4] * (n // 4) + [2] * (n % 4 // 2):
+            val, low = np.divmod(val, 10 ** k)
+            b[:, at - k:at].view(_DIGITS[k].dtype)[:, 0] = _DIGITS[k][low]
+            at -= k
         if n % 2:
-            b[:, end - n] = val + ord("0")
+            b[:, at - 1] = val + ord("0")
     for k in range(1, n_int):
         b[whole < 10 ** k, end - k - 1] = 0
     b[:, -1 - field:-1].view(f"S{field}")[slow, 0] = slow_text
-    flat = b.ravel()
-    return flat[flat != 0].tobytes()
+    return b.tobytes().translate(None, b"\0")
 
 
 def condensation(g: DirectedGraph) -> tuple[np.ndarray, sp.csr_matrix]:

@@ -78,12 +78,12 @@ def _row_blocks(R: sp.csr_matrix) -> np.ndarray:
     """Row-block bounds for _co_reach, cut at equal cumulative product work.
 
     A row's work is the flop count of its product row: the summed column
-    counts of its entries.  About sqrt(work / (0.8 nnz)) blocks balance the
-    lower triangle that each extra block skips against what a block costs,
-    mostly scipy's passes over all the rows below it: about 0.4 nnz flops'
-    worth, fitted on power-law graphs of 12 k and 48 k nodes at l = 2.  On
-    small inputs a block's fixed cost of scipy calls, about 2^15 flops'
-    worth, takes the place of those passes.
+    counts of its entries.  A block costs about 0.4 nnz flops, mostly scipy's
+    passes over all the rows below it (fitted on power-law graphs of 12 k and
+    48 k nodes at l = 2), and k blocks skip all but work (1 + 1/k) / 2 of the
+    products, so k = sqrt(work / (2 · 0.4 nnz)) minimizes the sum.  On small
+    inputs a block's fixed cost of scipy calls, about 2^15 flops' worth,
+    takes the place of those passes.
     """
     n = R.shape[0]
     cols = np.bincount(R.indices, minlength=R.shape[1])

@@ -273,7 +273,7 @@ class TestStatsCommand:
         inp = write(tmp_path / "g.tsv", CHAIN)
         assert main(["stats", "-i", inp, "--l", "2"]) == 1
         assert assert_one_error_line(capsys) == (
-            "error: out of memory; --top-t, --epsilon or --hub-cap keep fewer pairs")
+            "error: out of memory; a smaller --l keeps a smaller closure")
 
 
 class TestUsageErrors:
@@ -309,7 +309,7 @@ class TestRejectedInputs:
         (b"a\tb\n\xe8\x8a\nc\td\n", 2),  # a sequence cut by the newline
         (b"a\tb\nb\t\xed\xa0\x80\n", 2),  # an encoded surrogate
         (b"#\xff\na\tb\n", 1),  # in a comment
-        (b"a\tb\rc\td\r\xff\n", 1),  # lines count at \n, as they always did
+        (b"a\tb\rc\td\r\xff\n", 3),  # a lone \r ends a line, as in the parser
     ], ids=["crlf", "cut", "surrogate", "comment", "lone-cr"])
     def test_invalid_utf8_keeps_its_line_number(self, tmp_path, capsys, data,
                                                 line):
@@ -636,7 +636,27 @@ def test_memory_exhausted_is_one_error_line(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120,
                           preexec_fn=limited)
     assert (proc.returncode, proc.stderr.splitlines()) == (1, [
-        "error: out of memory; --top-t, --epsilon or --hub-cap keep fewer pairs"])
+        "error: out of memory; --hub-cap or a smaller --l keep fewer pairs"])
+
+
+@pytest.mark.parametrize("argv, where, hint", [
+    (["symmetrize", "--top-t", "3"], "symmetrize",
+     "; --hub-cap or a smaller --l keep fewer pairs"),
+    (["symmetrize", "--method", "degree-discounted"], "symmetrize", ""),
+    (["hierarchy"], "auto_hierarchy", ""),
+    (["stats"], "_load_graph", "")],
+    ids=["reach", "first-order", "hierarchy", "stats-without-l"])
+def test_memory_hint_names_only_what_lowers_the_peak(tmp_path, capsys, monkeypatch,
+                                                     argv, where, hint):
+    """--top-t and --epsilon cut the pairs after they all exist, and the
+    first-order methods and the parse take neither --l nor --hub-cap."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, where, exhausted)
+    inp = write(tmp_path / "g.tsv", CHAIN)
+    assert main(argv + ["-i", inp]) == 1
+    assert assert_one_error_line(capsys) == f"error: out of memory{hint}"
 
 
 class _FailsOnce(io.RawIOBase):

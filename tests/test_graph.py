@@ -166,6 +166,17 @@ class TestLoadMatchesLineByLine:
     @given(st.lists(_LINE, max_size=12),
            st.sampled_from(["\n", "\r\n", "\r\r\n", "\r"]), st.booleans(),
            st.booleans(), st.booleans())
+    # A comment line's tabs sit between two data lines' separators.
+    @example(["a\tb\t1", "#x\ty\t2", "b\tc\t3", "#\t"], "\n", True, False, False)
+    @example(["a\tb\t1", "#x\ty\t2", "b\tc\t3", "#\t"], "\n", True, True, False)
+    # Unweighted lines ignore a third and a fourth column.
+    @example(["a\tb\tx\ty", "b\tc\t\t", "c\ta"], "\r\n", False, False, False)
+    # Every edge a self-loop: no key is left to dedupe.
+    @example(["a\ta", "b\tb\t2", "a\ta"], "\n", True, False, False)
+    @example(["a\ta\t1", "b\tb\t2"], "\n", True, True, False)
+    # One edge, many times.
+    @example(["a\tb\t0.1"] * 40, "\n", True, False, False)
+    @example(["a\tb\t0.1"] * 40, "\n", True, True, False)
     @settings(max_examples=400, deadline=None)
     def test_same_graph_or_same_error(self, lines, eol, last_eol, weighted,
                                       bom):
@@ -328,6 +339,42 @@ class TestWriteUndirected:
         for precision in (0, 6, 17):
             assert self.text(write_undirected, pairs, labels, precision) == \
                 self.text(write_undirected_by_fstrings, pairs, labels, precision)
+
+    @pytest.mark.parametrize("precision", [0, 1, 2, 4, 5, 6, 7, 9])
+    def test_every_digit_grouping_matches_reference(self, precision):
+        """Records whose widest integer part has each digit count the record
+        path takes at this precision (w·10^p < 2^30): the digits go out four,
+        then two, then one at a time, and the shorter integer parts in the
+        slice lose their leading zeros."""
+        labels = [f"n{i}" for i in range(10)]
+        table = graph._label_table("".join(s + "\n" for s in labels).encode())
+        widest = 2 ** 30 // 10 ** precision - 1
+        for digits in range(1, len(str(widest)) + 1):
+            top = min(10 ** digits - 1, widest)
+            w = np.array([top + 0.25, 10 ** (digits - 1) + 0.5 + 1e-3, 7.0,
+                          0.0625, 0.5, 42.3, 0.0, 1 / 3, top])
+            pairs = pair_set(10, np.arange(9), np.arange(9) + 1, w)
+            want = self.text(write_undirected_by_fstrings, pairs, labels,
+                             precision)
+            assert self.text(write_undirected, pairs, labels, precision) == want
+            assert graph._format_records(table[:9], table[1:], w,
+                                         precision) == want
+
+    def test_slice_with_some_weights_left_to_percent(self):
+        """A slice whose records hold weights that `%` formats (a negative,
+        NaN, inf, a rounding tie, one past 2^30 at this precision) beside
+        ones formatted from digits."""
+        slow = [-1.0, np.nan, np.inf, 0.125, 2.0 ** 30, 1e300]
+        fast = [0.5, 3.25, 12345.678, 9.999999, 0.0, 1e-9]
+        w = np.array([x for pair in zip(slow, fast, fast) for x in pair])
+        labels = [f"n{i}" for i in range(len(w) + 1)]
+        pairs = pair_set(len(labels), np.arange(len(w)), np.arange(len(w)) + 1, w)
+        for precision in (0, 2, 6):
+            want = self.text(write_undirected_by_fstrings, pairs, labels, precision)
+            assert self.text(write_undirected, pairs, labels, precision) == want
+            table = graph._label_table("".join(s + "\n" for s in labels).encode())
+            u, v = table[pairs.rows(0, len(w))], table[pairs.v]
+            assert graph._format_records(u, v, w, precision) == want
 
     @pytest.mark.parametrize("extra", [
         ["x\0y"], ["z" * 10_000], [f"{'w' * 63}{i}" for i in range(9)],
