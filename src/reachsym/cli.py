@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-import types
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -97,28 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read(f) -> bytes:
-    """The bytes of the binary file ``f``; a line that is not UTF-8 is a
-    parse error, numbered as the parser numbers it: ``\r\n``, a lone ``\r``
-    and ``\n`` each end a line."""
-    data = f.read()
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            ends = (data.count(b"\n", 0, e.start) + data.count(b"\r", 0, e.start)
-                    - data.count(b"\r\n", 0, e.start))
-            raise ParseError(f"invalid UTF-8 in {f.name}", ends + 1) from None
-    return data
-
-
 def _load_graph(args) -> DirectedGraph:
     with open(args.input, "rb") as f:
-        held = [_read(f)]
-    # A stream whose read() hands the bytes over, so that no second copy of
-    # the input outlives the parser's padded one.
-    stream = types.SimpleNamespace(read=held.pop)
-    return load_edge_list(stream, weighted=getattr(args, "weighted", False))
+        return load_edge_list(f, weighted=getattr(args, "weighted", False))
 
 
 def run_symmetrize(args) -> int:
@@ -145,7 +125,7 @@ def run_symmetrize(args) -> int:
     with open(path, "rb") if path is not None else io.BytesIO() as scores:
         g = _load_graph(args)
         h = (None if args.hierarchy == "none" else auto_hierarchy(g) if path is None
-             else load_hierarchy(io.StringIO(_read(scores).decode(), newline=None), g))
+             else load_hierarchy(scores, g))
     result = symmetrize(g, cfg, h)
     _emit(args.output, lambda f: write_undirected(result, g.raw_labels, f,
                                                   precision=args.precision))

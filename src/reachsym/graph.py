@@ -2,13 +2,14 @@
 
 Node labels are arbitrary strings interned to dense integer indices in
 first-appearance order.  The graph is immutable after construction and is
-backed by a CSR adjacency matrix.
+backed by a CSR adjacency matrix.  ``_scan`` reads the lines of both TSV
+readers: the edge list and ``hierarchy.load_hierarchy``'s scores.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,22 +92,29 @@ def _line_error(parts: list[str], line_no: int, weighted: bool) -> None:
                 f"line {line_no}: edge weight must be finite and > 0, got {parts[2]}")
 
 
-def load_edge_list(stream: IO, weighted: bool = False) -> DirectedGraph:
-    """Parse a TSV edge list: ``src<TAB>dst[<TAB>weight]``, ``#`` comments.
+def _scan(stream: IO) -> tuple:
+    """The line rule of both TSV readers: ``stream``, of text or UTF-8 bytes,
+    is read whole; ``\\r\\n``, a lone ``\\r`` and ``\\n`` each end a line, as
+    in text mode; blank and ``#`` lines hold no data.  Bytes that are not
+    UTF-8 raise ParseError; a ``str`` is the caller's own text, not checked.
 
-    The stream, of text or UTF-8 bytes, is read whole; ``\\r\\n``, a lone
-    ``\\r`` and ``\\n`` each end a line, as in text mode.  Nodes are interned
-    in first-appearance order, labels compared byte for byte.  Duplicate
-    directed edges collapse (weights summed when ``weighted``, unit
-    otherwise); self-loops are dropped and counted.  A malformed line raises
-    the error of the first such line, with its 1-based line number.
-    """
+    Returns ``(raw, b, start, sep, first, last)``: the bytes, lines ended by
+    ``\\n``, then 8 for ``_words``' last load; ``b``, them without the 8;
+    each data line's start; every tab and data line end, in order; and the
+    indices in ``sep`` of each line's first separator and of its end."""
     raw = stream.read()
-    if isinstance(raw, str):
+    if text := isinstance(raw, str):
         raw = raw.encode("utf-8", "surrogatepass")
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    raw += b"\n" + bytes(8)  # a closing newline, then room for _words' last load
+    if not text and not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            name = getattr(stream, "name", "the stream")
+            raise ParseError(f"invalid UTF-8 in {name}",
+                             raw.count(b"\n", 0, e.start) + 1) from None
+    raw += b"\n" + bytes(8)
     b = np.frombuffer(raw, dtype=np.uint8)[:-8]
     # Data line i starts at start[i].  Blank lines, found byte by byte, and
     # comment lines, dropped by their first byte, get no entry.
@@ -120,15 +128,33 @@ def load_edge_list(stream: IO, weighted: bool = False) -> DirectedGraph:
         sep[sep] = data
         del data
     start = np.flatnonzero(start)  # its mask is freed before sep's grows
-    # The separators in order: every tab and the end of every data line,
-    # which is sep[last[i]] for line i.  Line i's fields lie between its
-    # start and sep[first[i]], then between consecutive separators.  Without
-    # comment lines, whose tabs sit between two data lines, line i's first
-    # separator is the one after line i - 1's end.
+    # Line i's fields lie between its start and sep[first[i]], then between
+    # separators.  Without comment lines, whose tabs sit between two data
+    # lines, its first separator is the one after line i - 1's end.
     sep |= b == 9
     sep = np.flatnonzero(sep)
     last = np.flatnonzero(b[sep] == 10)
     first = np.searchsorted(sep, start) if comments else np.r_[0, last + 1][:-1]
+    return raw, b, start, sep, first, last
+
+
+def _lines(raw, b, start, sep, first, last) -> Iterator[tuple[int, list[str]]]:
+    """Each data line of a ``_scan``, in order: its number and its fields."""
+    line_nos = np.searchsorted(np.flatnonzero(b == 10), start) + 1
+    for s, e, n in zip(start.tolist(), sep[last].tolist(), line_nos.tolist()):
+        yield n, raw[s:e].decode("utf-8", "surrogatepass").split("\t")
+
+
+def load_edge_list(stream: IO, weighted: bool = False) -> DirectedGraph:
+    """Parse a TSV edge list: ``src<TAB>dst[<TAB>weight]``, ``#`` comments.
+
+    The stream, text or UTF-8 bytes, is read by ``_scan``'s line rule.  Nodes
+    are interned in first-appearance order, labels compared byte for byte.
+    Duplicate directed edges collapse (weights summed when ``weighted``, unit
+    otherwise); self-loops are dropped and counted.  A malformed line raises
+    the error of the first such line, with its 1-based number.
+    """
+    raw, b, start, sep, first, last = _scan(stream)
     # Checks over all lines at once; only if one fails are the lines walked
     # in order, to raise the first line's error.
     ok = bool((last - first > weighted).all())  # each line's tab count
@@ -148,11 +174,8 @@ def load_edge_list(stream: IO, weighted: bool = False) -> DirectedGraph:
         except ValueError:
             ok = False
     if not ok:
-        line_nos = np.searchsorted(np.flatnonzero(b == 10), start) + 1
-        for s, e, line_no in zip(start.tolist(), sep[last].tolist(),
-                                 line_nos.tolist()):
-            _line_error(raw[s:e].decode("utf-8", "surrogatepass").split("\t"),
-                        line_no, weighted)
+        for line_no, parts in _lines(raw, b, start, sep, first, last):
+            _line_error(parts, line_no, weighted)
     ids, firsts = _intern(raw, b, fs, fe - fs) if len(start) else (fs, fs)
     labels = _ranges(b, fs[firsts], fe[firsts])
     del raw, b, start, sep, last, first, fs, fe  # not held while the CSR is built

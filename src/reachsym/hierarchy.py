@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import IO
 
 import numpy as np
 
 from .accumulator import SimilarityAccumulator
-from .graph import DirectedGraph, ParseError, ValidationError, _sccs
+from .graph import DirectedGraph, ParseError, ValidationError, _lines, _scan, _sccs
 
 
 @dataclass
@@ -60,40 +60,36 @@ def auto_hierarchy(g: DirectedGraph) -> HierarchyScores:
     return HierarchyScores(_normalize(depth[comp]))
 
 
-def load_hierarchy(stream: Iterable[str], g: DirectedGraph) -> HierarchyScores:
+def load_hierarchy(stream: IO, g: DirectedGraph) -> HierarchyScores:
     """Read ``label<TAB>raw_score`` lines and min-max normalize to [0, 1].
 
-    Unknown labels are warned about and skipped; a graph node with no score
-    is an error.
+    The stream is read as ``load_edge_list`` reads one.  Unknown labels are
+    warned about and skipped; a graph node with no score is an error.
     """
     index = {lab: i for i, lab in enumerate(g.labels)}
-    raw = np.full(g.n, np.nan)
-    for line_no, line in enumerate(stream, 1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    raw = [math.nan] * g.n
+    for line_no, parts in _lines(*_scan(stream)):
         if len(parts) != 2:
             raise ParseError("expected `label<TAB>score`", line_no)
         try:
             val = float(parts[1])
         except ValueError:
             raise ParseError(f"non-numeric score {parts[1]!r}", line_no) from None
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise ParseError(f"non-finite score {parts[1]!r}", line_no)
         i = index.get(parts[0])
         if i is None:
             warnings.warn(f"hierarchy file line {line_no}: unknown label "
                           f"{parts[0]!r} ignored", stacklevel=2)
             continue
-        if not np.isnan(raw[i]):
+        if not math.isnan(raw[i]):
             raise ParseError(f"duplicate score for label {parts[0]!r}", line_no)
         raw[i] = val
-    missing = [g.labels[i] for i in np.flatnonzero(np.isnan(raw))]
+    missing = [lab for lab, val in zip(g.labels, raw) if math.isnan(val)]
     if missing:
         raise ValidationError(
             "hierarchy file missing scores for nodes: " + ", ".join(missing))
-    return HierarchyScores(_normalize(raw))
+    return HierarchyScores(_normalize(np.array(raw)))
 
 
 _SLICE = 1 << 15  # entries per gather of the column scores

@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from reachsym import (SymmetrizationConfig, auto_hierarchy, load_edge_list,
-                      symmetrize, write_undirected)
+from reachsym import (ParseError, SymmetrizationConfig, auto_hierarchy,
+                      load_edge_list, symmetrize, write_undirected)
 from reachsym import cli
 from reachsym.cli import main
 from reachsym.synthetic import powerlaw_digraph, write_edge_list
@@ -318,6 +318,13 @@ class TestRejectedInputs:
         assert main(["symmetrize", "-i", str(inp)]) == 3
         assert assert_one_error_line(capsys) == \
             f"error: line {line}: invalid UTF-8 in {inp}"
+        # The library checks the bytes too, and numbers the line alike.
+        with pytest.raises(ParseError, match=f"^line {line}: invalid UTF-8 in "
+                           "the stream$"):
+            load_edge_list(io.BytesIO(data))
+        # A str is the caller's own text: a lone surrogate in it still parses.
+        assert load_edge_list(io.StringIO("a\ud800\tb\n")).labels == [
+            "a\ud800", "b"]
 
     def test_missing_scores_file_fails_before_the_input_is_read(
             self, tmp_path, capsys, monkeypatch):

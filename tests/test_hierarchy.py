@@ -138,6 +138,13 @@ class TestLoadHierarchy:
     def test_min_max_normalization(self):
         h = load_hierarchy(io.StringIO("a\t10\nb\t20\nc\t30"), self.graph())
         assert h.score.tolist() == [0.0, 0.5, 1.0]
+        # Lines are read as the edge list's are: from UTF-8 bytes too, and
+        # ended by a lone \r or by \r\n as by \n.
+        for stream in (io.BytesIO(b"a\t10\nb\t20\nc\t30\n"),
+                       io.StringIO("a\t10\rb\t20\rc\t30\r"),
+                       io.StringIO("a\t10\r\nb\t20\r\nc\t30\r\n")):
+            h = load_hierarchy(stream, self.graph())
+            assert h.score.tolist() == [0.0, 0.5, 1.0]
 
     def test_degenerate_all_equal_maps_to_zero(self):
         h = load_hierarchy(io.StringIO("a\t7\nb\t7\nc\t7"), self.graph())
@@ -155,6 +162,11 @@ class TestLoadHierarchy:
     def test_unknown_label_warned_and_ignored(self):
         with pytest.warns(UserWarning, match="unknown label"):
             h = load_hierarchy(io.StringIO("a\t1\nb\t2\nc\t3\nghost\t9"),
+                               self.graph())
+        assert h.score.tolist() == [0.0, 0.5, 1.0]
+        with pytest.warns(UserWarning, match="^hierarchy file line 3: unknown "
+                          "label 'ghost' ignored$"):
+            h = load_hierarchy(io.StringIO("a\t1\rb\t2\rghost\t9\rc\t3\r"),
                                self.graph())
         assert h.score.tolist() == [0.0, 0.5, 1.0]
 
