@@ -2,7 +2,7 @@
 
 from .accumulator import SimilarityAccumulator
 from .closure import INF, LocalClosure, local_closure
-from .graph import (DirectedGraph, ParseError, ValidationError, condensation,
+from .graph import (DirectedGraph, ParseError, ValidationError,
                     graph_from_pairs, load_edge_list, write_undirected)
 from .hierarchy import (HierarchyScores, auto_hierarchy, load_hierarchy,
                         pair_hierarchy_discount)
@@ -21,7 +21,6 @@ __all__ = [
     "ValidationError",
     "auto_hierarchy",
     "bibliometric",
-    "condensation",
     "degree_discounted",
     "graph_from_pairs",
     "in_reach_similarity",

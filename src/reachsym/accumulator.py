@@ -51,17 +51,6 @@ class SimilarityAccumulator:
     def u(self) -> np.ndarray:
         return self.rows(0, len(self))
 
-    @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        return [(int(a), int(b), float(c)) for a, b, c in zip(self.u, self.v, self.w)]
-
-    def get(self, a: int, b: int, default: float = 0.0) -> float:
-        """Weight of the unordered pair (a, b), ``default`` if absent."""
-        a, b = min(a, b), max(a, b)
-        lo, hi = self.indptr[a], self.indptr[a + 1]
-        k = lo + np.searchsorted(self.v[lo:hi], b)
-        return float(self.w[k]) if a < b and k < hi and self.v[k] == b else default
-
     def to_matrix(self) -> sp.csr_matrix:
         """The strictly upper-triangular CSR matrix, a view of the arrays."""
         return sp.csr_matrix((self.w, self.v, self.indptr), shape=(self.n, self.n))

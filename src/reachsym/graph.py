@@ -1,4 +1,4 @@
-"""Directed graph data model, TSV edge-list I/O, and SCC condensation.
+"""Directed graph data model, TSV edge-list I/O, and the SCC pass.
 
 Node labels are arbitrary strings interned to dense integer indices in
 first-appearance order.  The graph is immutable after construction and is
@@ -275,17 +275,19 @@ def write_undirected(pairs: SimilarityAccumulator, labels: list[str] | bytes,
     ``DirectedGraph.raw_labels`` does; the weight is ``%.{precision}f``.
 
     Output is byte-identical across runs and worker counts for equal inputs.
-    A label that holds a tab or a line end raises ValidationError before any
-    byte is written: the TSV cannot carry it.
+    A label that holds a tab or a line end, or a label count other than
+    ``pairs.n``, raises ValidationError before any byte is written.
     """
     raw = labels if isinstance(labels, bytes) else "".join(
         s + "\n" for s in labels).encode("utf-8", "surrogatepass")
-    if (b"\t" in raw or b"\r" in raw or not isinstance(labels, bytes)
-            and raw.count(b"\n") != len(labels)):  # a listed label holds \n
+    count = raw.count(b"\n")  # over len(labels) when a listed label holds \n
+    if (b"\t" in raw or b"\r" in raw or count != pairs.n
+            or not isinstance(labels, bytes) and count != len(labels)):
         names = raw.decode("utf-8", "surrogatepass").split("\n") \
             if isinstance(labels, bytes) else labels
-        bad = next(s for s in names if "\t" in s or "\n" in s or "\r" in s)
-        raise ValidationError(f"label {bad!r} holds a tab or a line end")
+        bad = next((s for s in names if "\t" in s or "\n" in s or "\r" in s), None)
+        raise ValidationError(f"{count} labels for {pairs.n} nodes" if bad is None
+                              else f"label {bad!r} holds a tab or a line end")
     w = np.asarray(pairs.w, dtype=np.float64)  # float32 would round as float32
     table = _label_table(raw) if len(w) else None
     names = None  # the labels as an object array, once a slice needs `%`
@@ -369,26 +371,6 @@ def _format_records(u, v, w, precision: int) -> bytes | None:
         b[whole < 10 ** k, end - k - 1] = 0
     b[:, -1 - field:-1].view(f"S{field}")[slow, 0] = slow_text
     return b.tobytes().translate(None, b"\0")
-
-
-def condensation(g: DirectedGraph) -> tuple[np.ndarray, sp.csr_matrix]:
-    """SCC component map and the acyclic condensation DAG.
-
-    Returns (comp, dag): ``comp[u]`` is the SCC id of node u (ids are
-    contiguous and in topological order: every DAG edge goes from a lower id
-    to a higher one), and row c of the boolean CSR ``dag`` holds the sorted
-    distinct successor SCCs of c.
-    """
-    comp, depth = _sccs(g.adj)
-    ncomp = len(depth)
-    coo = g.adj.tocoo()
-    cu = comp[coo.row]
-    cv = comp[coo.col]
-    keep = cu != cv
-    dag = sp.csr_matrix((np.ones(int(keep.sum()), dtype=bool),
-                         (cu[keep], cv[keep])), shape=(ncomp, ncomp))
-    dag.sum_duplicates()
-    return comp, dag
 
 
 def _sccs(adj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ DENSE_GUARD = 512
 def reach_rows(m: sp.csr_matrix) -> list[np.ndarray]:
     """Read-only sorted row views of a CSR matrix: for a closure's
     ``out_mat``, the nodes each node reaches; for ``in_mat``, the nodes
-    that reach it.  For the condensation DAG, each SCC's successors."""
+    that reach it."""
     indices = m.indices.view()
     indices.flags.writeable = False
     return np.split(indices, m.indptr[1:-1]) if m.shape[0] else []

@@ -108,8 +108,8 @@ def test_second_order_motif():
             (f, x1), (x1, s), (g_, x2), (x2, s),
             (p, y1), (y1, f), (p, y2), (y2, g_),
         ], n=8)
-        assert symmetrize(g, cfg(l=1)).get(f, g_) == 0.0
-        w2 = symmetrize(g, cfg(l=2)).get(f, g_)
+        assert to_dense(symmetrize(g, cfg(l=1)))[f, g_] == 0.0
+        w2 = to_dense(symmetrize(g, cfg(l=2)))[f, g_]
         assert w2 > 0.0
         assert w2 == pytest.approx(0.5, abs=1e-12)
 
@@ -142,10 +142,10 @@ def test_hierarchy_monotonicity():
                     from reachsym import HierarchyScores, pair_hierarchy_discount
                     disc = pair_hierarchy_discount(
                         base, HierarchyScores(scores), gamma)
-                    weights.append(disc.get(u, v))
+                    weights.append(to_dense(disc)[u, v])
                 diffs = np.diff(weights)
                 assert (diffs <= 1e-15).all()
-                if gamma > 0 and base.get(u, v) > 0:
+                if gamma > 0 and to_dense(base)[u, v] > 0:
                     assert (diffs < 0).all()
                     checked_pair += 1
 
@@ -167,7 +167,7 @@ def test_hierarchy_monotonicity():
                     scores[k0] = gap
                     acc = out_reach_similarity(
                         c, cfg(l=2, delta=delta), HierarchyScores(scores))
-                    weights.append(acc.get(i, j))
+                    weights.append(to_dense(acc)[i, j])
                 diffs = np.diff(weights)
                 assert (diffs <= 1e-12).all()
                 if delta > 0:

@@ -11,14 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reachsym import (DirectedGraph, ParseError, ValidationError,
-                      condensation, graph_from_pairs, load_edge_list,
-                      write_undirected)
+                      graph_from_pairs, load_edge_list, write_undirected)
 
 from reachsym import cli, graph
 from conftest import (digraphs, load_edge_list_by_lines, pair_set,
                       random_digraph, reach_by_matrix_powers, traced_peak,
                       write_undirected_by_fstrings)
-from reference import in_neighbors, out_neighbors, reach_rows, read_undirected
+from reference import in_neighbors, out_neighbors, read_undirected
 
 
 def load(text, weighted=False):
@@ -396,16 +395,34 @@ class TestWriteUndirected:
     @pytest.mark.parametrize("labels, bad", [
         (["a\tb", "c", "d"], "a\tb"), (["c", "a\nb", "d"], "a\nb"),
         (["c", "d", "\r"], "\r"), (b"c\na\tb\nd\n", "a\tb"),
-        (b"c\nd\na\rb\n", "a\rb")],
-        ids=["tab", "newline", "cr", "bytes-tab", "bytes-cr"])
+        (b"c\nd\na\rb\n", "a\rb"), (["c", "a\nb"], "a\nb")],
+        ids=["tab", "newline", "cr", "bytes-tab", "bytes-cr",
+             "newline-in-short-list"])
     def test_label_the_tsv_cannot_carry_is_refused(self, labels, bad):
         # Written, "a\tb" would read back as "non-numeric weight 'c'", and
-        # "a\nb" would split its line in two.
+        # "a\nb" would split its line in two.  Two listed labels, one of them
+        # holding \n, end as many lines as the labels of three nodes.
         pairs, _ = self.make([(0, 1, 0.5), (1, 2, 0.25)], ["", "", ""])
         buf = io.BytesIO()
         with pytest.raises(ValidationError,
                            match=f"^label {re.escape(repr(bad))} holds"):
             write_undirected(pairs, labels, buf)
+        assert buf.getvalue() == b""
+
+    @pytest.mark.parametrize("count", [3, 5], ids=["short", "long"])
+    @pytest.mark.parametrize("form", ["list", "bytes"])
+    def test_label_count_other_than_nodes_is_refused(self, count, form):
+        # A first chunk of pairs that every label count names, then a pair of
+        # node 3: too few labels raised IndexError after that chunk was
+        # written, and too many were ignored.
+        m = graph._WRITE_CHUNK
+        pairs = pair_set(4, np.r_[np.zeros(m, dtype=np.int64), 2],
+                         np.r_[np.ones(m, dtype=np.int64), 3], np.full(m + 1, 0.5))
+        labels = [f"n{i}" for i in range(count)]
+        buf = io.BytesIO()
+        with pytest.raises(ValidationError, match=f"^{count} labels for 4 nodes$"):
+            write_undirected(pairs, labels if form == "list" else
+                             "".join(s + "\n" for s in labels).encode(), buf)
         assert buf.getvalue() == b""
 
     def test_which_labels_get_a_table(self):
@@ -446,46 +463,25 @@ class TestWriteUndirected:
 
 
 class TestCondensation:
+    """``graph._sccs``, the SCC pass that ``auto_hierarchy`` condenses by."""
+
     def test_two_cycle_is_one_scc(self):
-        g = graph_from_pairs([(0, 1), (1, 0)])
-        comp, dag = condensation(g)
+        comp, depth = graph._sccs(graph_from_pairs([(0, 1), (1, 0)]).adj)
         assert comp[0] == comp[1]
-        assert dag.shape[0] == 1
+        assert len(depth) == 1
 
     def test_chain_gives_singleton_sccs(self):
-        g = graph_from_pairs([(0, 1), (1, 2)])
-        comp, dag = condensation(g)
-        assert len(set(comp.tolist())) == 3
-        # DAG is a chain: each component has at most one successor
-        assert sorted(len(d) for d in reach_rows(dag)) == [0, 1, 1]
-
-    def test_dag_is_acyclic(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            g = random_digraph(rng, 12, 0.2)
-            comp, dag = condensation(g)
-            # Kahn's algorithm consumes every component iff acyclic
-            indeg = np.zeros(dag.shape[0], dtype=int)
-            for succ in reach_rows(dag):
-                for t in succ:
-                    indeg[t] += 1
-            stack = [i for i in range(dag.shape[0]) if indeg[i] == 0]
-            seen = 0
-            while stack:
-                s = stack.pop()
-                seen += 1
-                for t in reach_rows(dag)[s]:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        stack.append(int(t))
-            assert seen == dag.shape[0]
+        comp, depth = graph._sccs(graph_from_pairs([(0, 1), (1, 2)]).adj)
+        # Three components in topological order, each one deeper.
+        assert comp.tolist() == [0, 1, 2]
+        assert depth.tolist() == [0, 1, 2]
 
     def test_matches_mutual_reachability_partition(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             n = int(rng.integers(2, 20))
             g = random_digraph(rng, n, 0.15)
-            comp, _ = condensation(g)
+            comp, _ = graph._sccs(g.adj)
             reach = reach_by_matrix_powers(g, float("inf"))
             reach = reach | np.eye(n, dtype=bool)
             mutual = reach & reach.T
@@ -494,18 +490,19 @@ class TestCondensation:
                     assert (comp[i] == comp[j]) == bool(mutual[i, j])
 
     def test_empty_graph(self):
-        comp, dag = condensation(graph_from_pairs([], n=0))
+        comp, depth = graph._sccs(graph_from_pairs([], n=0).adj)
         assert comp.dtype == np.int64 and comp.shape == (0,)
-        assert dag.format == "csr" and dag.dtype == bool and dag.shape == (0, 0)
+        assert depth.dtype == np.int64 and depth.shape == (0,)
 
     def test_scc_ids_contiguous(self):
         g = graph_from_pairs([(0, 1), (1, 0), (1, 2), (3, 2)])
-        comp, dag = condensation(g)
-        assert sorted(set(comp.tolist())) == list(range(dag.shape[0]))
+        comp, depth = graph._sccs(g.adj)
+        assert sorted(set(comp.tolist())) == list(range(len(depth)))
 
     @given(digraphs(max_n=30, max_edges=80))
     @settings(max_examples=100)
     def test_ids_in_topological_order(self, g):
-        comp, dag = condensation(g)
-        coo = dag.tocoo()
-        assert (coo.row < coo.col).all()
+        # No edge goes to a lower id, so the components form a DAG.
+        comp, _ = graph._sccs(g.adj)
+        coo = g.adj.tocoo()
+        assert (comp[coo.row] <= comp[coo.col]).all()

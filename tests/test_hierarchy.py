@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from reachsym import (DirectedGraph, HierarchyScores, ParseError,
                       SymmetrizationConfig, ValidationError, auto_hierarchy,
-                      condensation, graph_from_pairs, load_edge_list,
-                      load_hierarchy, local_closure, pair_hierarchy_discount,
-                      symmetrize)
-from reachsym import hierarchy
+                      graph_from_pairs, load_edge_list, load_hierarchy,
+                      local_closure, pair_hierarchy_discount, symmetrize)
+from reachsym import graph, hierarchy
 from reachsym.synthetic import powerlaw_digraph
 
 from conftest import (digraphs, pair_set, random_digraph, random_pairs,
                       traced_peak)
-from reference import class_depths, distance_discount, out_neighbors
+from reference import class_depths, distance_discount, out_neighbors, to_dense
 
 
 @st.composite
@@ -102,9 +101,9 @@ class TestAutoHierarchy:
         adj = sp.csr_matrix(np.array([[0, 1, 0], [0, 1, 1], [0, 0, 0]], dtype=float))
         g = DirectedGraph(3, ["a", "b", "c"], adj)
         assert auto_hierarchy(g).score.tolist() == [0.0, 0.5, 1.0]
-        comp, dag = condensation(g)
+        comp, depth = graph._sccs(g.adj)
         assert comp.tolist() == [0, 1, 2]
-        assert dag.toarray().tolist() == [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+        assert depth.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("shape", ["path", "reversed", "cycle"])
     def test_deep_graphs(self, shape):
@@ -115,10 +114,10 @@ class TestAutoHierarchy:
                  "cycle": np.zeros(n, dtype=np.int64)}[shape]
         want = depth / depth.max() if depth.max() else np.zeros(n)
         assert auto_hierarchy(g).score.tolist() == want.tolist()
-        comp, dag = condensation(g)
+        comp, comp_depth = graph._sccs(g.adj)
         # One component, or n in topological order: each id is its depth.
         assert comp.tolist() == depth.tolist()
-        assert dag.shape == (comp.max() + 1,) * 2 and dag.nnz == comp.max()
+        assert comp_depth.tolist() == list(range(comp.max() + 1))
 
     @pytest.mark.parametrize("shape, bound", [("powerlaw", 100), ("cycle", 250)])
     def test_traced_peak_per_node(self, shape, bound):
@@ -222,17 +221,17 @@ class TestPairHierarchyDiscount:
     def test_equal_scores_unchanged(self):
         h = HierarchyScores(np.array([0.4, 0.4]))
         acc = pair_hierarchy_discount(acc_one_pair(2, 0, 1, 2.0), h, gamma=3.0)
-        assert acc.get(0, 1) == 2.0
+        assert to_dense(acc)[0, 1] == 2.0
 
     def test_gamma_zero_identity(self):
         h = HierarchyScores(np.array([0.0, 1.0]))
         acc = pair_hierarchy_discount(acc_one_pair(2, 0, 1, 2.0), h, gamma=0.0)
-        assert acc.get(0, 1) == 2.0
+        assert to_dense(acc)[0, 1] == 2.0
 
     def test_unit_difference_halves(self):
         h = HierarchyScores(np.array([0.0, 1.0]))
         acc = pair_hierarchy_discount(acc_one_pair(2, 0, 1, 1.0), h, gamma=1.0)
-        assert acc.get(0, 1) == pytest.approx(0.5, abs=1e-15)
+        assert to_dense(acc)[0, 1] == pytest.approx(0.5, abs=1e-15)
 
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
            st.floats(0, 4))
@@ -340,4 +339,4 @@ class TestHierarchyInPipeline:
                           far)
         damped = symmetrize(g, SymmetrizationConfig(l=1, gamma=0.0, delta=1.0),
                             far)
-        assert damped.get(0, 1) == pytest.approx(base.get(0, 1) / 4)
+        assert to_dense(damped)[0, 1] == pytest.approx(to_dense(base)[0, 1] / 4)

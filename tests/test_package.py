@@ -32,6 +32,14 @@ def test_test_only_code_is_not_in_the_package():
         assert not hasattr(reachsym.LocalClosure, attr)
 
 
+def test_no_condensation():
+    # auto_hierarchy calls the SCC pass, graph._sccs, itself; nothing in the
+    # pipeline builds the condensation DAG.
+    assert "condensation" not in reachsym.__all__
+    assert not hasattr(reachsym, "condensation")
+    assert not hasattr(reachsym.graph, "condensation")
+
+
 def test_no_threads_knob_in_the_library():
     assert "threads" not in reachsym.SymmetrizationConfig.__dataclass_fields__
     assert "threads" not in inspect.signature(reachsym.local_closure).parameters
@@ -46,7 +54,9 @@ def test_one_pair_type():
         assert name not in reachsym.__all__
         assert not hasattr(reachsym, name)
         assert not hasattr(reachsym.graph, name)
-    for attr in ("from_matrix", "scaled", "weight", "edge_count"):
+    # A weight is read through tests/reference.py's to_dense, a pair set
+    # compared through its u, v and w.
+    for attr in ("from_matrix", "scaled", "weight", "edge_count", "edges", "get"):
         assert not hasattr(acc.SimilarityAccumulator, attr)
     # The upper triangle as CSR; u is derived from indptr.
     assert list(acc.SimilarityAccumulator.__dataclass_fields__) == \
