@@ -14,12 +14,14 @@ byte-identical to the degree-discounted baseline on unweighted input.
 from __future__ import annotations
 
 import math
+import mmap
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .accumulator import SimilarityAccumulator, index_dtype
@@ -78,12 +80,12 @@ def _row_blocks(R: sp.csr_matrix) -> np.ndarray:
     """Row-block bounds for _co_reach, cut at equal cumulative product work.
 
     A row's work is the flop count of its product row: the summed column
-    counts of its entries.  A block costs about 0.4 nnz flops, mostly scipy's
-    passes over all the rows below it (fitted on power-law graphs of 12 k and
-    48 k nodes at l = 2), and k blocks skip all but work (1 + 1/k) / 2 of the
-    products, so k = sqrt(work / (2 · 0.4 nnz)) minimizes the sum.  On small
-    inputs a block's fixed cost of scipy calls, about 2^15 flops' worth,
-    takes the place of those passes.
+    counts of its entries.  A block costs about 0.4 nnz flops, mostly one
+    scipy pass and one _block_bound pass over the rows below it (fitted at
+    l = 2 for two scipy passes; 0.2 and 0.8 time alike since), and k blocks
+    skip all but work (1 + 1/k) / 2 of the products, so k = sqrt(work /
+    (2 · 0.4 nnz)) minimizes the sum.  On small inputs a block's fixed cost
+    of kernel calls, about 2^15 flops' worth, takes their place.
     """
     n = R.shape[0]
     cols = np.bincount(R.indices, minlength=R.shape[1])
@@ -91,6 +93,14 @@ def _row_blocks(R: sp.csr_matrix) -> np.ndarray:
     k = max(1, round(math.sqrt(cum[-1] / max(0.8 * R.nnz, 2 ** 15))))
     cuts = np.searchsorted(cum, cum[-1] / k * np.arange(1, k))
     return np.unique(np.r_[0, cuts, n])
+
+
+def _block_bound(R: sp.csr_matrix, r0: int, r1: int) -> int:
+    """Upper bound on block [r0, r1)'s entries: Σ_j min(Σ_{k∈R[j]} |leftT[k]|, r1 - r0)."""
+    p0 = R.indptr[r0]
+    per_k = np.bincount(R.indices[p0:R.indptr[r1]], minlength=R.shape[1])
+    cum = np.r_[0, np.cumsum(per_k[R.indices[p0:]])][R.indptr[r0:] - p0]
+    return int(np.minimum(np.diff(cum), r1 - r0).sum())
 
 
 def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
@@ -103,7 +113,9 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
     arrays; only its first r1 - r0 rows, the block's own square, hold
     entries with j <= i.  Entry (i, j) sums right[j, k] * left[i, k] over
     ascending k: the terms of a full left @ right^T in the same order, and
-    IEEE products commute, so the weights are bit-identical to it.
+    IEEE products commute, so the weights are bit-identical to it.  Each
+    block runs scipy's csr_tocsc (leftT) and csr_matmat as ``@`` does, minus
+    its counting pass, into one reused map sized by the largest _block_bound.
     """
     n = R.shape[0]
     base = R.data * np.repeat(outer, np.diff(R.indptr))
@@ -111,33 +123,41 @@ def _co_reach(R: sp.csr_matrix, outer: np.ndarray, inner: np.ndarray,
         base = base * disc
     lw = base * inner[R.indices]  # left's entries
 
-    counts, vs, ws = [], [], []
-    bounds = _row_blocks(R)
-    for r0, r1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        p0, p1 = R.indptr[r0], R.indptr[r1]
-        right = sp.csr_matrix((base[p0:], R.indices[p0:], R.indptr[r0:] - p0),
-                              shape=(n - r0, n))
-        left = sp.csr_matrix((lw[p0:p1], R.indices[p0:p1],
-                              R.indptr[r0:r1 + 1] - p0), shape=(r1 - r0, n))
-        block = right @ left.T
-        # The square's kept entries move up against the rows below, in place.
-        q, ptr, d, c = r1 - r0, block.indptr, block.data, block.indices
-        h = ptr[q]
-        keep = np.flatnonzero(c[:h] < np.repeat(np.arange(q, dtype=c.dtype),
-                                                np.diff(ptr[:q + 1])))
-        o = h - len(keep)
-        d[o:h], c[o:h] = d[keep], c[keep]
-        ptr[:q + 1], ptr[q + 1:] = np.searchsorted(keep, ptr[:q + 1]), ptr[q + 1:] - o
-        block.data, block.indices = d[o:], c[o:]
-        block = block.tocsc()  # scipy's product stores no exact 0
-        counts.append(np.diff(block.indptr))
-        vs.append(np.add(block.indices, r0, dtype=index_dtype(n)))
-        ws.append(block.data)
-    if not vs:
+    bounds = _row_blocks(R).tolist()
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    top = max((_block_bound(R, *b) for b in blocks), default=0)
+    if not top:
         return SimilarityAccumulator.empty(n)
+    idx = index_dtype(max(n, top, R.nnz))  # one for all of a kernel's arrays
+    Rp, Rj = R.indptr.astype(idx, copy=False), R.indices.astype(idx, copy=False)
+    try:  # not np.empty: glibc would then keep later arrays on its heap
+        buf = mmap.mmap(-1, top * (8 + idx.itemsize))
+    except OSError as e:  # ENOMEM, where numpy raises MemoryError
+        raise MemoryError(e) from e
+    wx, wj = np.frombuffer(buf, np.float64, top), np.frombuffer(buf, idx, top, 8 * top)
+    counts, vs, ws = [], [], []
+    for r0, r1 in blocks:
+        p0, p1, q, m = Rp[r0], Rp[r1], r1 - r0, n - r0
+        tp, tj, tx = np.empty(n + 1, idx), np.empty(p1 - p0, idx), np.empty(p1 - p0)
+        _sparsetools.csr_tocsc(q, n, Rp[r0:r1 + 1] - p0, Rj[p0:p1], lw[p0:p1], tp, tj, tx)
+        ptr = np.empty(m + 1, idx)
+        _sparsetools.csr_matmat(m, q, Rp[r0:] - p0, Rj[p0:], base[p0:],
+                                tp, tj, tx, ptr, wj, wx)
+        # The square's kept entries move up against the rows below, in place.
+        h, nnz = ptr[q], ptr[m]
+        keep = np.flatnonzero(wj[:h] < np.repeat(np.arange(q, dtype=idx),
+                                                 np.diff(ptr[:q + 1])))
+        o = h - len(keep)
+        wx[o:h], wj[o:h] = wx[keep], wj[keep]
+        ptr[:q + 1], ptr[q + 1:] = np.searchsorted(keep, ptr[:q + 1]), ptr[q + 1:] - o
+        cp, ci, cx = np.empty(q + 1, idx), np.empty(nnz - o, idx), np.empty(nnz - o)
+        _sparsetools.csr_tocsc(m, q, ptr, wj[o:nnz], wx[o:nnz], cp, ci, cx)  # has no exact 0
+        counts.append(np.diff(cp))
+        vs.append(np.add(ci, r0, dtype=index_dtype(n)))
+        ws.append(cx)
     # Blocks are row-major and each CSC column has sorted rows, so the joins
     # are in canonical (u, v) order.  Only the lists are held through them.
-    del base, lw
+    del base, lw, wx, wj, buf
     indptr = np.r_[0, np.cumsum(np.concatenate(counts))]
     idx = index_dtype(max(n, int(indptr[-1])))
     v = np.concatenate(vs, dtype=idx)

@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import resource
@@ -11,7 +12,7 @@ import pytest
 
 from reachsym import (ParseError, SymmetrizationConfig, auto_hierarchy,
                       load_edge_list, symmetrize, write_undirected)
-from reachsym import cli
+from reachsym import cli, similarity
 from reachsym.cli import main
 from reachsym.synthetic import powerlaw_digraph, write_edge_list
 
@@ -664,6 +665,19 @@ def test_memory_hint_names_only_what_lowers_the_peak(tmp_path, capsys, monkeypat
     inp = write(tmp_path / "g.tsv", CHAIN)
     assert main(argv + ["-i", inp]) == 1
     assert assert_one_error_line(capsys) == f"error: out of memory{hint}"
+
+
+def test_products_map_failing_is_out_of_memory(tmp_path, capsys, monkeypatch):
+    """The products' buffer is an anonymous map, whose failure is an
+    OSError (ENOMEM), not numpy's MemoryError: it is out of memory too."""
+    def exhausted(*args, **kwargs):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(similarity.mmap, "mmap", exhausted)
+    inp = write(tmp_path / "g.tsv", TWO_SOURCES)
+    assert main(["symmetrize", "-i", inp]) == 1
+    assert assert_one_error_line(capsys) == (
+        "error: out of memory; --hub-cap or a smaller --l keep fewer pairs")
 
 
 class _FailsOnce(io.RawIOBase):

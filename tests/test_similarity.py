@@ -1,4 +1,5 @@
 import math
+import mmap
 import sys
 import warnings
 from unittest import mock
@@ -17,7 +18,7 @@ from reachsym import (INF, HierarchyScores, SymmetrizationConfig, ValidationErro
 from reachsym import similarity
 from reachsym.accumulator import index_dtype
 from reachsym.hierarchy import neighbor_discount_data
-from reachsym.similarity import _co_reach, _degree_discount, _row_blocks
+from reachsym.similarity import _block_bound, _co_reach, _degree_discount, _row_blocks
 from reachsym.synthetic import powerlaw_digraph
 
 from conftest import (canonical_pairs, co_reach_full_rows, digraphs,
@@ -796,9 +797,20 @@ class TestCoReachUpperTriangle:
         c = local_closure(g, 2)
         outer = _degree_discount(c.d_out_plus, 0.5)
         inner = _degree_discount(c.d_in_plus, 0.5)
-        acc, peak = traced_peak(_co_reach, c.out_mat, outer, inner)
+        # tracemalloc does not see the products' buffer, an anonymous map:
+        # 0.36 times the stored bytes, bounded at 0.45 (25 % margin).
+        sizes, real = [], mmap.mmap
+
+        def recorded(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return real(fileno, length, *args, **kwargs)
+
+        with mock.patch.object(similarity.mmap, "mmap", recorded):
+            acc, peak = traced_peak(_co_reach, c.out_mat, outer, inner)
         assert len(acc) > 300_000 and len(_row_blocks(c.out_mat)) > 3
-        assert peak < 1.9 * (acc.indptr.nbytes + acc.v.nbytes + acc.w.nbytes)
+        stored = acc.indptr.nbytes + acc.v.nbytes + acc.w.nbytes
+        assert peak < 1.9 * stored
+        assert len(sizes) == 1 and sizes[0] < 0.45 * stored
 
 
 def two_row_blocks(R):
@@ -852,6 +864,90 @@ class TestCoReachBlockLayouts:
                 for a, b in ((got.indptr, want.indptr), (got.v, want.v),
                              (got.w, want.w)):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def block_product(R, r0, r1):
+    """Row block [r0, r1)'s product right[r0:] @ left[r0:r1]^T by scipy's
+    public ``@``, over R's pattern: every weight 1, so no entry cancels."""
+    n, p0, p1 = R.shape[0], R.indptr[r0], R.indptr[r1]
+    ones = np.ones(R.nnz - p0)
+    right = sp.csr_matrix((ones, R.indices[p0:], R.indptr[r0:] - p0),
+                          shape=(n - r0, n))
+    left = sp.csr_matrix((ones[:p1 - p0], R.indices[p0:p1],
+                          R.indptr[r0:r1 + 1] - p0), shape=(r1 - r0, n))
+    return right @ left.T
+
+
+def block_flops(R, r0, r1):
+    """The raw flop count of the block's product: its uncapped bound."""
+    p0, p1 = R.indptr[r0], R.indptr[r1]
+    per_k = np.bincount(R.indices[p0:p1], minlength=R.shape[0])
+    return int(per_k[R.indices[p0:]].sum())
+
+
+class TestCoReachKernel:
+    """_co_reach calls scipy's kernels into a buffer it sizes itself."""
+
+    @pytest.mark.parametrize("blocks", [_row_blocks, one_row_blocks, two_row_blocks])
+    @given(st.one_of(digraphs(max_n=40, max_edges=120), hub_digraphs()),
+           st.sampled_from([1, 2, 3, INF]))
+    @settings(max_examples=100, deadline=None)
+    def test_bound_never_undercounts(self, blocks, g, l):
+        # An undercount would let csr_matmat write past the buffer.
+        c = local_closure(g, l)
+        for R in (c.out_mat, c.in_mat):
+            b = blocks(R).tolist()
+            for r0, r1 in zip(b[:-1], b[1:]):
+                nnz = block_product(R, r0, r1).nnz
+                assert nnz <= _block_bound(R, r0, r1) <= block_flops(R, r0, r1)
+
+    @pytest.mark.parametrize("g, l", [
+        (graph_from_pairs([(0, x) for x in range(1, 30)] + [(x, 0) for x in range(1, 30)]), 2),
+        (powerlaw_digraph(3000, 9000, 0.45, seed=1), 3)], ids=["hub", "powerlaw-l3"])
+    def test_bound_meets_the_cap(self, g, l):
+        """Rows that meet more left entries than the block has rows are
+        capped, so the bound stays within 1.5 times the entries (1.0 on the
+        hub, 1.33 on the power-law graph), where the raw flop count is 30
+        and 11.7 times them."""
+        R = local_closure(g, l).out_mat
+        b = _row_blocks(R).tolist()
+        nnz, bound, flops = (sum(f(R, r0, r1) for r0, r1 in zip(b[:-1], b[1:]))
+                             for f in (lambda *a: block_product(*a).nnz,
+                                       _block_bound,
+                                       block_flops))
+        assert nnz <= bound < 1.5 * nnz and bound < flops
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["R-int64", "kernel-int64"])
+    def test_int64_indices(self, forced):
+        """R's int64 arrays are cast to the kernel's one index dtype, and
+        int64 (forced, as past 2^31 indices) gives the same pairs."""
+        g = powerlaw_digraph(2000, 4000, 0.45, seed=3)
+        c = local_closure(g, 2)
+        R = c.out_mat.copy()
+        R.indptr, R.indices = R.indptr.astype(np.int64), R.indices.astype(np.int64)
+        outer = _degree_discount(c.d_out_plus, 0.5)
+        inner = _degree_discount(c.d_in_plus, 0.5)
+        assert len(_row_blocks(R)) > 3
+        rule = (lambda n: np.dtype(np.int64)) if forced else index_dtype
+        with mock.patch.object(similarity, "index_dtype", rule):
+            got = _co_reach(R, outer, inner)
+        ref = co_reach_full_rows(c.out_mat, outer, inner)
+        assert got.v.dtype == np.dtype(np.int64 if forced else np.int32)
+        assert got.u.tolist() == ref.u.tolist() and got.v.tolist() == ref.v.tolist()
+        assert got.w.tobytes() == ref.w.tobytes()
+
+    def test_no_counting_pass(self):
+        """scipy's ``@`` counts each product's entries in a C pass before
+        it computes them; _co_reach skips that pass."""
+        c = local_closure(powerlaw_digraph(500, 1500, 0.45, seed=2), 2)
+        ones = np.ones(c.out_mat.shape[0])
+
+        def counted(*args):
+            raise AssertionError("csr_matmat_maxnnz called")
+
+        with mock.patch("scipy.sparse._sparsetools.csr_matmat_maxnnz", counted), \
+                mock.patch("scipy.sparse._compressed.csr_matmat_maxnnz", counted):
+            assert len(_co_reach(c.out_mat, ones, ones)) > 1000
 
 
 class TestRowBlocks:
