@@ -246,7 +246,7 @@ def _ranges(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> bytes:
 
 
 def graph_from_pairs(pairs, n: int | None = None, weights=None) -> DirectedGraph:
-    """Build a graph from integer (u, v) pairs; convenience for tests/scripts."""
+    """Build a graph from integer (u, v) pairs, for the tests and gen_powerlaw.py."""
     uv = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
     if n is None:
         n = int(uv.max()) + 1 if len(uv) else 0
@@ -274,7 +274,7 @@ def write_undirected(pairs: SimilarityAccumulator, labels: list[str] | bytes,
     stream in canonical (u, v) order, where ``labels`` names the nodes as
     ``DirectedGraph.raw_labels`` does; the weight is ``%.{precision}f``.
 
-    Output is byte-identical across runs and worker counts for equal inputs.
+    Output is byte-identical across runs for equal inputs.
     A label that holds a tab or a line end, or a label count other than
     ``pairs.n``, raises ValidationError before any byte is written.
     """

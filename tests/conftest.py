@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -11,6 +13,15 @@ from reachsym import (ParseError, SimilarityAccumulator, ValidationError,
 from reachsym.accumulator import index_dtype
 from reachsym.similarity import _degree_discount
 from reference import dense_closure, dense_similarity
+
+
+# The power-law generator is a script, not part of the package: loaded by path.
+_spec = importlib.util.spec_from_file_location(
+    "gen_powerlaw", Path(__file__).resolve().parents[1] / "scripts" / "gen_powerlaw.py")
+_gen_powerlaw = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_gen_powerlaw)
+powerlaw_digraph = _gen_powerlaw.powerlaw_digraph
+write_edge_list = _gen_powerlaw.write_edge_list
 
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the

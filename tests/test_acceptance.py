@@ -12,7 +12,7 @@ from reachsym import (INF, SymmetrizationConfig, auto_hierarchy, bibliometric,
                       local_closure, out_reach_similarity, symmetrize,
                       write_undirected)
 from reachsym.cli import main
-from reachsym.synthetic import powerlaw_digraph
+from conftest import powerlaw_digraph
 
 from conftest import random_digraph, reach_by_matrix_powers
 from reference import dense_closure, dense_similarity, reach_rows, to_dense
@@ -185,7 +185,7 @@ def test_thread_count_determinism(tmp_path):
         g = powerlaw_digraph(10_700, 30_000, 0.45, seed=7)
         inp = tmp_path / "g.tsv"
         with open(inp, "w") as fh:
-            from reachsym.synthetic import write_edge_list
+            from conftest import write_edge_list
             write_edge_list(g, fh)
         from reachsym import load_edge_list
         with open(inp) as fh:

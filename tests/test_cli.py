@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import io
 import os
@@ -9,14 +10,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachsym import (ParseError, SymmetrizationConfig, auto_hierarchy,
                       load_edge_list, symmetrize, write_undirected)
 from reachsym import cli, similarity
 from reachsym.cli import main
-from reachsym.synthetic import powerlaw_digraph, write_edge_list
 
-from conftest import oracle_symmetrize, write_undirected_by_fstrings
+from conftest import (oracle_symmetrize, powerlaw_digraph, write_edge_list,
+                      write_undirected_by_fstrings)
 
 
 def write(path, text):
@@ -538,6 +541,74 @@ class TestRejectedInputs:
                      "--alpha", exponent, "--beta", exponent, "-i", inp]) == 1
         assert assert_one_error_line(capsys) == \
             f"error: weight of pair {pair} is not finite"
+
+
+# Flag values, bad ones among them, and input tokens: line ends of each kind,
+# comments, NUL, bytes that are not UTF-8, non-ASCII labels and numbers that
+# do not parse or do not fit.
+FUZZ_VALUES = ["", "x", "-1", "0", "1", "3", "0.5", "inf", "nan", "1e308",
+               "99999999999999999999"]
+FUZZ_FLAGS = {"symmetrize": ["--l", "--alpha", "--beta", "--gamma", "--delta",
+                             "--epsilon", "--top-t", "--hub-cap", "--threads",
+                             "--precision"],
+              "hierarchy": ["--precision"],
+              "stats": ["--l"]}
+FUZZ_TOKENS = [b"a", b"b", b"c", b"7", b"", b"#", b"\0", b"\xff",
+               "\u00e9\u8282\u70b9".encode(), b"1e309", b"nan", b"-1", b"0.5"]
+# A line is tab-separated tokens, or tokens run together with a tab or a line
+# end among them.
+fuzz_line = st.one_of(
+    st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=4).map(b"\t".join),
+    st.lists(st.sampled_from(FUZZ_TOKENS + [b"\t", b"\r"]), max_size=6).map(b"".join))
+fuzz_bytes = st.lists(st.tuples(fuzz_line, st.sampled_from([b"\n", b"\r\n", b"\r"])),
+                      max_size=12).map(lambda lines: b"".join(a + b for a, b in lines))
+
+
+@st.composite
+def fuzz_argv(draw, root):
+    """argv for one subcommand with random flags, reading ``root/in.tsv``;
+    ``--hierarchy file:`` reads ``root/scores.tsv``."""
+    sub = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [sub, "-i", os.path.join(root, "in.tsv")]
+    flags = draw(st.dictionaries(st.sampled_from(FUZZ_FLAGS[sub]),
+                                 st.sampled_from(FUZZ_VALUES), max_size=2))
+    for flag, value in flags.items():
+        argv += [flag, value]
+    if sub == "symmetrize":
+        argv += draw(st.sampled_from(
+            [[], ["--method", "reach"], ["--method", "degree-discounted"],
+             ["--method", "degree-discounted", "--weighted"],
+             ["--method", "bibliometric"], ["--method", "bogus"], ["--weighted"]]))
+        argv += ["--hierarchy", draw(st.sampled_from(
+            ["none", "auto", "file:" + os.path.join(root, "scores.tsv"),
+             "file:" + os.path.join(root, "missing.tsv"), "bogus"]))]
+    if sub != "stats":
+        output = draw(st.sampled_from(
+            [None, "out.tsv", ".", os.path.join("missing", "out.tsv")]))
+        argv += [] if output is None else ["-o", os.path.join(root, output)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_keeps_the_exit_contract(fuzz_dir, data):
+    # Any argv and any input ends in exit 0, 1, 2 or 3, with one error line
+    # when it fails, none when it succeeds, and never a traceback.
+    argv = data.draw(fuzz_argv(str(fuzz_dir)), label="argv")
+    (fuzz_dir / "in.tsv").write_bytes(data.draw(fuzz_bytes, label="input"))
+    (fuzz_dir / "scores.tsv").write_bytes(data.draw(fuzz_bytes, label="scores"))
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    errors = [line for line in err.getvalue().split("\n") if line.startswith("error:")]
+    assert len(errors) == (1 if code else 0), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def _check_ascii_stdout(tmp_path, sub, launcher):

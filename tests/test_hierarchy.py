@@ -13,10 +13,9 @@ from reachsym import (DirectedGraph, HierarchyScores, ParseError,
                       graph_from_pairs, load_edge_list, load_hierarchy,
                       local_closure, pair_hierarchy_discount, symmetrize)
 from reachsym import graph, hierarchy
-from reachsym.synthetic import powerlaw_digraph
 
-from conftest import (digraphs, pair_set, random_digraph, random_pairs,
-                      traced_peak)
+from conftest import (digraphs, pair_set, powerlaw_digraph, random_digraph,
+                      random_pairs, traced_peak)
 from reference import class_depths, distance_discount, out_neighbors, to_dense
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import io
 import os
 import subprocess
 import sys
@@ -9,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import reachsym
+
+from conftest import powerlaw_digraph, write_edge_list
 
 # Test-only references, now in tests/reference.py.
 MOVED = ["bfs_bounded", "dense_closure", "dense_similarity", "distance_discount",
@@ -24,12 +28,29 @@ def test_test_only_code_is_not_in_the_package():
     for name in MOVED:
         assert name not in reachsym.__all__
         assert not hasattr(reachsym, name)
-    with pytest.raises(ImportError):
-        importlib.import_module("reachsym.oracle")
+    # The power-law generator is scripts/gen_powerlaw.py's.
+    for module in ("reachsym.oracle", "reachsym.synthetic"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
     for attr in ("out_neighbors", "in_neighbors", "reversed"):
         assert not hasattr(reachsym.DirectedGraph, attr)
     for attr in ("out_reach", "in_reach", "out_csr", "in_csr"):
         assert not hasattr(reachsym.LocalClosure, attr)
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((3000, 9000, 0.45, 1),
+     "4ccad8f91e768916af2b27771f590bc82d15934f493c91849ee4c0eb7edaefbe"),
+    # ROADMAP's perf graph.
+    ((50_000, 100_000, 0.45, 123),
+     "0086d41ed98625a0222aa26c1090759702547201f918bc8ba4ffdd731d47ab2e"),
+])
+def test_generator_gives_the_pinned_graphs(args, digest):
+    # Pinned tests and the ROADMAP baselines are measured on these graphs.
+    n, m, exponent, seed = args
+    out = io.StringIO()
+    write_edge_list(powerlaw_digraph(n, m, exponent, seed=seed), out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_no_condensation():

@@ -19,12 +19,11 @@ from reachsym import similarity
 from reachsym.accumulator import index_dtype
 from reachsym.hierarchy import neighbor_discount_data
 from reachsym.similarity import _block_bound, _co_reach, _degree_discount, _row_blocks
-from reachsym.synthetic import powerlaw_digraph
 
 from conftest import (canonical_pairs, co_reach_full_rows, digraphs,
                       first_order_by_adjacency, pair_set, pairs_from_matrix,
-                      random_digraph, random_pairs, sparsify_top_t_by_lexsort,
-                      traced_peak)
+                      powerlaw_digraph, random_digraph, random_pairs,
+                      sparsify_top_t_by_lexsort, traced_peak)
 from reference import (dense_closure, dense_similarity, out_neighbors,
                        reversed_graph, to_dense)
 
